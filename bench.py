@@ -282,9 +282,9 @@ def run_frontier(sf_dir: str, num_cpus: int) -> int:
             "robots_blocked", pa.array(np.zeros(batch.num_rows, bool)))
 
     ds = ds.map_batches(add_flags, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    # politeness + global (fetch_ms, priority, seed_order) order in one
-    # direct task-graph exchange (pipelines/frontier.py): the executor
-    # sorts this replaces were the flagship's fixed-cost tail — the part
+    # politeness + global (fetch_ms, priority, seed_order) order as two
+    # direct task-graph exchanges (pipelines/frontier.py): the executor
+    # sorts these replace were the flagship's fixed-cost tail — the part
     # that did NOT shrink from N to 4N CPUs
     ds = scheduled_crawl_order(ds)
     ds = ds.select_columns(["urlkey", "host", "host_rank", "fetch_ms"])

@@ -14,21 +14,26 @@ host with crawl-delay ``d`` ms happens at ``r*d`` ms — which makes the
 whole schedule a pure function of (seed list, robots table): exactly
 reproducible by a serial oracle, independent of execution parallelism.
 
-Dataflow (all streaming, one wide shuffle per stage that needs it):
+Dataflow (streaming up to the politeness exchange, then two direct
+task-graph exchanges, stages/exchange.py):
 
   read seeds ->
-  map_batches(Canonicalizer)            # urlkey, hash64, host
-  groupby(hash64).map_groups(first)     # exact dedup, winner = min
-                                        # (priority, seed_order); emits
+  first_wins_dedup(derive_fn=canonicalize_batch)
+                                        # urlkey, hash64, host; exact
+                                        # dedup, winner = min (priority,
+                                        # seed_order); emits
                                         # n_dup_dropped per winner
-  map_batches(RobotsGate)               # broadcast robots table via
+  map_batches(robots gate)              # broadcast robots table via
                                         # ray.put; flags, never drops
-  groupby(host).map_groups(slots)       # politeness: host_rank,
+  hash_bucket_apply(hash64(host) % B)   # politeness: host_rank,
                                         # fetch_ms = rank * delay
-  [sort(fetch_ms, priority, seed_order)]  # global crawl order
+                                        # (frontier_flow ends here)
+  range_order(fetch_ms, priority, seed_order)
+                                        # global crawl order
+                                        # (crawl_order)
 
-Skew: a hot host lands in one politeness group; the group body is a
-vectorized argsort (millions of rows/s), so the straggler cost is
+Skew: a hot host lands in one politeness bucket; the bucket kernel is a
+vectorized lexsort (millions of rows/s), so the straggler cost is
 sort-bound, not Python-bound. For extreme skew ``num_salts > 1``
 splits each hot host into sub-queues by round-robin POSITION (not
 hash), preserving both the exact slot times and the per-host politeness
@@ -39,6 +44,7 @@ multiples of ``d``, at most one fetch per interval per host.
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -227,21 +233,11 @@ def robots_gate_distributed(ds: ray.data.Dataset, robots_path: str, *,
     return joined.map_batches(gate, batch_format="pyarrow")
 
 
-def dedup_first_wins(group: pd.DataFrame) -> pd.DataFrame:
-    """Per-hash64 group: keep min (priority, seed_order); count losers.
-
-    Arrival-order independent => identical under any parallelism.
-    """
-    idx = np.lexsort((group["seed_order"].to_numpy(),
-                      group["priority"].to_numpy()))
-    winner = group.iloc[[idx[0]]].copy()
-    winner["n_dup_dropped"] = len(group) - 1
-    return winner
-
-
-def make_politeness_scheduler(num_salts: int = 1,
-                              connections: int = 1):
-    """Per-host map_groups fn: assign fetch slots under the virtual clock.
+def make_bucket_scheduler(num_salts: int = 1,
+                          connections: int = 1):
+    """Politeness kernel for ONE host-hash bucket: assign fetch slots
+    under the virtual clock to every host of the bucket in one numpy
+    pass (one lexsort + run-length rank arithmetic).
 
     Within a host: eligible rows (not robots-blocked) ordered by
     (priority asc, seed_order asc) get ``host_rank`` 0,1,2,... and
@@ -255,77 +251,49 @@ def make_politeness_scheduler(num_salts: int = 1,
     crawlers run): ranks share slots K at a time —
     ``fetch_ms = (host_rank // K) * crawl_delay_ms`` — so the
     inter-REQUEST interval per connection still honors the delay.
+
+    Takes and returns an Arrow table; the output is the input plus
+    ``host_rank``, ``fetch_ms`` (and ``subqueue`` when salted).
     """
 
-    def politeness_slots(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.copy()
-        delay = int(g["crawl_delay_ms"].iloc[0])
-        eligible = ~g["robots_blocked"].to_numpy()
-        order = np.lexsort((g["seed_order"].to_numpy(),
-                            g["priority"].to_numpy()))
-        order = order[eligible[order]]
-        rank = np.full(len(g), -1, dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        g["host_rank"] = rank
-        g["fetch_ms"] = np.where(rank >= 0,
-                                 (rank // connections) * delay, -1)
-        if num_salts > 1:
-            g["subqueue"] = np.where(rank >= 0, rank % num_salts, -1)
-        return g
+    def bucket_slots(t: pa.Table) -> pa.Table:
+        def col(name):
+            return t[name].to_numpy(zero_copy_only=False)
 
-    return politeness_slots
+        host_codes = t["host"].combine_chunks().dictionary_encode(
+            null_encoding="encode").indices.to_numpy(zero_copy_only=False)
+        eligible = ~col("robots_blocked")
+        delay = col("crawl_delay_ms").astype(np.int64)
 
-
-def make_bucket_scheduler(num_salts: int = 1,
-                          connections: int = 1):
-    """Vectorized multi-host politeness kernel for ONE host-hash bucket.
-
-    Semantically identical to ``make_politeness_scheduler`` (per-host
-    rank by (priority, seed_order) over eligible rows; fetch_ms = rank *
-    crawl_delay_ms; blocked rows -1) but processes EVERY host of a
-    bucket in one numpy pass: one lexsort + run-length rank arithmetic
-    instead of a Python/pandas call per host. With B buckets the
-    shuffle has B balanced groups (hot hosts share a bucket but stay
-    sort-bound, not Python-bound) and map_groups runs B times total.
-    """
-
-    def bucket_slots(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        host_codes = pd.factorize(g["host"].to_numpy())[0]
-        prio = g["priority"].to_numpy()
-        seed = g["seed_order"].to_numpy()
-        eligible = ~g["robots_blocked"].to_numpy()
-        delay = g["crawl_delay_ms"].to_numpy().astype(np.int64)
-
-        order = np.lexsort((seed, prio, host_codes))
+        order = np.lexsort((col("seed_order"), col("priority"), host_codes))
         s_host = host_codes[order]
         s_elig = eligible[order].astype(np.int64)
-        new_run = np.r_[True, s_host[1:] != s_host[:-1]]
+        new_run = np.ones(len(order), dtype=bool)
+        new_run[1:] = s_host[1:] != s_host[:-1]
         run_id = np.cumsum(new_run) - 1
         cum = np.cumsum(s_elig)
         run_starts = np.flatnonzero(new_run)
         base = cum[run_starts] - s_elig[run_starts]
         rank_sorted = cum - 1 - base[run_id]
 
-        rank = np.full(len(g), -1, dtype=np.int64)
+        rank = np.full(len(order), -1, dtype=np.int64)
         rank[order] = np.where(s_elig > 0, rank_sorted, -1)
-        g["host_rank"] = rank
-        g["fetch_ms"] = np.where(rank >= 0,
-                                 (rank // connections) * delay, -1)
+        t = t.append_column("host_rank", pa.array(rank, pa.int64()))
+        t = t.append_column("fetch_ms", pa.array(
+            np.where(rank >= 0, (rank // connections) * delay, -1),
+            pa.int64()))
         if num_salts > 1:
-            g["subqueue"] = np.where(rank >= 0, rank % num_salts, -1)
-        return g
+            t = t.append_column("subqueue", pa.array(
+                np.where(rank >= 0, rank % num_salts, -1), pa.int64()))
+        return t
 
     return bucket_slots
 
 
-def schedule_politeness(ds: ray.data.Dataset, *, num_buckets: int = 64,
-                        num_salts: int = 1,
-                        connections: int = 1) -> ray.data.Dataset:
-    """Politeness scheduling with ONE balanced groupby shuffle: rows are
-    bucketed by hash64(host) % num_buckets (every row of a host lands in
-    one bucket, so per-host slots stay exact) and each bucket is ranked
-    by the vectorized kernel above."""
+def _add_host_bucket(num_buckets: int):
+    """map_batches fn: ``host_bucket = hash64(host) % num_buckets``
+    (replacing any existing ``host_bucket``), so every row of a host
+    lands in one bucket."""
     from ..canon import hash64_batch
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -335,99 +303,56 @@ def schedule_politeness(ds: ray.data.Dataset, *, num_buckets: int = 64,
         return batch.append_column(
             "host_bucket", pa.array(hb.astype(np.int64), pa.int64()))
 
-    ds = ds.map_batches(add_bucket, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    out = ds.groupby("host_bucket").map_groups(
-        make_bucket_scheduler(num_salts, connections),
-        batch_format="pandas")
-    return out.drop_columns(["host_bucket"])
+    return add_bucket
+
+
+def schedule_politeness(ds: ray.data.Dataset, *, num_salts: int = 1,
+                        connections: int = 1) -> ray.data.Dataset:
+    """Politeness scheduling as ONE hash exchange
+    (``stages/exchange.hash_bucket_apply``): rows are bucketed by
+    ``hash64(host) % B`` (every row of a host lands in one bucket, so
+    per-host slots stay exact) and each bucket is ranked by
+    :func:`make_bucket_scheduler`. Every row is kept, blocked ones
+    included (``host_rank = -1``), so counters can see them.
+
+    ``B = min(64, max(8, 2 * cpus))``: split tasks emit B objects EACH,
+    so the bucket count grows with the cluster (64 buckets at 2 CPUs is
+    ~2k tiny plasma objects whose fixed scheduling cost dwarfs the
+    kernel work)."""
+    from ..stages.exchange import _cluster_cpus, hash_bucket_apply
+
+    num_buckets = min(64, max(8, 2 * _cluster_cpus()))
+    kern = make_bucket_scheduler(num_salts, connections)
+
+    def merge(t: pa.Table) -> pa.Table:
+        return kern(t.drop_columns(["host_bucket"]))
+
+    tagged = ds.map_batches(_add_host_bucket(num_buckets),
+                            batch_format="pyarrow", batch_size=None,
+                            zero_copy_batch=True)
+    return hash_bucket_apply(tagged, "host_bucket", merge,
+                             num_buckets=num_buckets)
+
+
+#: the global crawl order: the virtual clock, ties broken
+#: deterministically by (priority, seed_order)
+CRAWL_ORDER = ("fetch_ms", "priority", "seed_order")
+
+
+def crawl_order(flow: ray.data.Dataset) -> ray.data.Dataset:
+    """Global crawl order: schedulable rows (``host_rank >= 0``)
+    ordered by :data:`CRAWL_ORDER` in one range exchange
+    (``stages/exchange.range_order``)."""
+    from ..stages.exchange import range_order
+
+    return range_order(flow.filter(expr="host_rank >= 0"), CRAWL_ORDER)
 
 
 def scheduled_crawl_order(flow: ray.data.Dataset, *,
-                          num_buckets: int | None = None,
-                          num_salts: int = 1, num_ranges: int | None = None,
-                          order_bits: tuple = (36, 2, 25)) -> ray.data.Dataset:
-    """Politeness + global crawl order as ONE direct task-graph exchange
-    (stages/exchange.py) over the post-dedup survivor stream.
-
-    Semantically identical to ``crawl_order(schedule_politeness(flow))``
-    — same rows, same (fetch_ms, priority, seed_order) global order —
-    but the two executor sorts (politeness bucket groupby + final order
-    sort) become split/merge task rounds with no sampling barrier:
-    measured ~6 s -> ~1 s of scheduling-tail wall at 8 CPUs on a 593k-row
-    survivor stream, which is what the N->4N scaling efficiency of the
-    whole frontier job hinges on (the tail is the only part that does
-    not shrink with CPUs).
-
-    The global order travels as one packed int64
-    ``fetch_ms:priority:seed_order`` key (``order_bits`` wide); if any
-    survivor overflows the packing this falls back to the executor sort
-    path rather than corrupt the order.
-    """
-    from ..canon import hash64_batch
-    from ..stages.exchange import hash_bucket_apply
-
-    if num_buckets is None:
-        # split tasks emit num_buckets objects EACH: size the bucket
-        # count to the cluster so the round's object count grows with
-        # CPUs (64 buckets at 2 CPUs is ~2k tiny plasma objects whose
-        # fixed scheduling cost dwarfs the kernel work)
-        cpus = (int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized() else 8)
-        num_buckets = min(64, max(8, 2 * cpus))
-
-    fb, pb, sb = order_bits
-    kern = make_bucket_scheduler(num_salts)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        hb = hash64_batch(batch["host"]) % np.uint64(num_buckets)
-        if "host_bucket" in batch.column_names:
-            batch = batch.drop_columns(["host_bucket"])
-        return batch.append_column(
-            "host_bucket", pa.array(hb.astype(np.int64), pa.int64()))
-
-    def _empty_out(t: pa.Table) -> pa.Table:
-        # empty buckets are common (num_buckets > distinct hosts);
-        # from_pandas would infer null types for empty object columns
-        # and break the cross-bucket concat — build from the input
-        # schema instead
-        fields = [fld for fld in t.schema if fld.name != "host_bucket"]
-        fields += [pa.field("host_rank", pa.int64()),
-                   pa.field("fetch_ms", pa.int64())]
-        if num_salts > 1:
-            fields.append(pa.field("subqueue", pa.int64()))
-        out = pa.schema(fields).empty_table()
-        return out.append_column("_order_key",
-                                 pa.array([], pa.int64()))
-
-    def merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty_out(t)
-        df = kern(t.to_pandas())
-        df = df[df["host_rank"].to_numpy() >= 0]
-        f = df["fetch_ms"].to_numpy()
-        p = df["priority"].to_numpy().astype(np.int64)
-        s = df["seed_order"].to_numpy()
-        if len(f) and (f.max() >> fb or p.max() >> pb or s.max() >> sb):
-            raise ValueError("crawl-order packing out of range")
-        key = (f << np.int64(pb + sb)) | (p << np.int64(sb)) | s
-        out = pa.Table.from_pandas(df.drop(columns=["host_bucket"]),
-                                   preserve_index=False)
-        if out.num_rows == 0:  # all rows robots-blocked
-            return _empty_out(t)
-        return out.append_column("_order_key", pa.array(key, pa.int64()))
-
-    tagged = flow.map_batches(add_bucket, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-    try:
-        return hash_bucket_apply(tagged, "host_bucket", merge,
-                                 num_buckets=num_buckets,
-                                 sort_col="_order_key",
-                                 num_ranges=num_ranges,
-                                 drop_sort_col=True)
-    except ray.exceptions.RayTaskError as e:
-        if "packing out of range" not in str(e):
-            raise
-        return crawl_order(schedule_politeness(flow, num_salts=num_salts))
+                          num_salts: int = 1) -> ray.data.Dataset:
+    """Politeness + global crawl order over a robots-gated survivor
+    stream: ``crawl_order(schedule_politeness(flow))``."""
+    return crawl_order(schedule_politeness(flow, num_salts=num_salts))
 
 
 #: broadcast the robots table only while its on-disk footprint fits a
@@ -442,7 +367,8 @@ def frontier_flow(seeds_path: str, robots_path: str, *,
                   dedup_partitions: int | None = None,
                   robots_budget_bytes: int = ROBOTS_BROADCAST_BUDGET_BYTES
                   ) -> ray.data.Dataset:
-    """Build the lazy frontier Dataset: all rows, flagged + scheduled.
+    """Build the frontier Dataset: all rows, flagged + scheduled. The
+    politeness exchange executes eagerly, so this runs the pipeline.
 
     Robots state auto-selects: a robots table under
     ``robots_budget_bytes`` on disk is ``ray.put`` once and looked up
@@ -471,8 +397,8 @@ def frontier_flow_from(ds: ray.data.Dataset, robots_ref, *,
     Stateless task pools (elastic, no CPU reservation): canonicalize is
     pure compute, robots a broadcast lookup. Dedup is the vectorized
     aggregate+join ``first_wins_dedup`` (per-group Python would die at
-    frontier scale); politeness is a per-host ``map_groups`` (group
-    count == host count, small by construction).
+    frontier scale); politeness is one host-hash exchange
+    (``schedule_politeness``).
     """
     from ..stages.dedup import first_wins_dedup
 
@@ -489,13 +415,6 @@ def frontier_flow_from(ds: ray.data.Dataset, robots_ref, *,
         ds = ds.map_batches(make_robots_gate(robots_ref), batch_size=None,
                             batch_format="pyarrow")
     return schedule_politeness(ds, num_salts=num_salts)
-
-
-def crawl_order(flow: ray.data.Dataset) -> ray.data.Dataset:
-    """Global crawl order: schedulable rows sorted by the virtual clock,
-    ties broken deterministically (priority, seed_order)."""
-    sched = flow.filter(expr="host_rank >= 0")
-    return sched.sort(["fetch_ms", "priority", "seed_order"])
 
 
 def host_counters(flow: ray.data.Dataset) -> ray.data.Dataset:
@@ -524,27 +443,9 @@ def host_counters(flow: ray.data.Dataset) -> ray.data.Dataset:
                        Count(alias_name="rows")))
 
 
-def frontier_schedule(seeds_path: str, robots_path: str,
-                      **kwargs) -> ray.data.Dataset:
-    """Convenience: seeds+robots -> globally-ordered crawl schedule."""
-    return crawl_order(frontier_flow(seeds_path, robots_path, **kwargs))
-
-
 # ---------------------------------------------------------------------------
 # Resumable partitioned run (lineage per host-hash bucket)
 # ---------------------------------------------------------------------------
-
-def _add_host_bucket(num_buckets: int):
-    from ..canon import hash64_batch
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        hosts = batch["host"].to_numpy(zero_copy_only=False)
-        hb = hash64_batch(hosts) % np.uint64(num_buckets)
-        return batch.append_column("host_bucket",
-                                   pa.array(hb.astype(np.int64), pa.int64()))
-
-    return add_bucket
-
 
 @ray.remote(num_cpus=0)
 class _BucketCounterActor:
@@ -608,8 +509,9 @@ def run_frontier(seeds_path: str, robots_path: str, out_dir: str, *,
     """Execute the frontier resumably: one output partition per
     host-hash bucket, each recorded in the lineage manifest with its
     counters; a rerun with unchanged inputs skips completed buckets
-    entirely (rows of done buckets are dropped right after
-    canonicalization, before any shuffle).
+    entirely (rows of done buckets are dropped before the write). A
+    bucket that runs again first loses its old part files, so its rows
+    on disk match its new manifest entry.
 
     Bucketing by HOST hash keeps every row of a host in one partition,
     so per-host politeness slots and counters are complete within a
@@ -646,6 +548,9 @@ def run_frontier(seeds_path: str, robots_path: str, out_dir: str, *,
                             batch_format="pyarrow", batch_size=None)
 
     flow_dir = os.path.join(out_dir, "flow")
+    for b in todo:
+        shutil.rmtree(os.path.join(flow_dir, "host_bucket=%d" % b),
+                      ignore_errors=True)
     flow.write_parquet(flow_dir, partition_cols=["host_bucket"])
 
     counters_by_bucket = ray.get(counter_actor.get.remote())
@@ -738,9 +643,8 @@ def parse_robots_batch(batch: pa.Table, host_col: str = "host",
         .select("host", "m").explode("m").drop_nulls("m")
         .with_columns(p=pl.col("m").str.extract(r"Disallow:\s*(\S+)", 1))
         .drop("m")
-        .sort(["host", "p"])
-        .group_by("host", maintain_order=True)
-        .agg(csv=pl.col("p").str.join(","),
+        .group_by("host")
+        .agg(csv=pl.col("p").sort_by("p").str.join(","),
              n=pl.len().cast(pl.Int64))
     )
     lut = {h: (c, n) for h, c, n in zip(rules["host"].to_list(),

@@ -198,15 +198,12 @@ class HttpTransport:
             self._bodies[d] = body.decode("utf-8", errors="replace")
         return status
 
-    @staticmethod
-    def _ok_possible(status: int) -> bool:
-        """Superset of RetryPolicy.classify(...) == 'ok' over all
-        executor flag combinations (cdx / allow404)."""
-        from ..retry import RETRYABLE_STATUSES
-
-        if status == 404:
-            return True
-        return 200 <= status < 400 and status not in RETRYABLE_STATUSES
+    def _ok_possible(self, status: int) -> bool:
+        """Whether ``policy.classify`` says 'ok' for ``status`` under
+        any executor flag combination (cdx / allow404)."""
+        return any(
+            self.policy.classify(status, cdx=cdx, allow404=allow404) == "ok"
+            for cdx in (False, True) for allow404 in (False, True))
 
 
 class FaultScheduleServer:

@@ -1180,7 +1180,7 @@ def _fixture_root(sf_dir: str) -> str:
     tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
     root = "/tmp/cdxray_fixtures_%s" % tag
     if not os.path.exists(root + "/.done"):
-        from . import fixtures
+        from .. import fixtures
 
         n = 5000 if "0.01" in sf_dir else 1000
         fixtures.generate(root, n_pages=n, seed=42)

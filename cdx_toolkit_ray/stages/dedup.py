@@ -371,10 +371,7 @@ def first_wins_dedup(ds: ray.data.Dataset, key_col: str, cols_bits,
         # DISTINCT winners, keeping driver work O(unique keys) no
         # matter the duplication factor.
         import os as _os
-        import time as _time
 
-        _timing = bool(_os.environ.get("GRAFT_TIMING"))
-        _t0 = _time.time()
         # Project to the 16-byte (key, sortkey) pair and reduce PER
         # BLOCK, fully fused into the read+derive task (a batch_size
         # override here would split the plan at the read and push raw
@@ -386,10 +383,6 @@ def first_wins_dedup(ds: ray.data.Dataset, key_col: str, cols_bits,
                                  batch_format="pyarrow").materialize()
         prefs = parts.to_arrow_refs()
         total_partials = parts.count()
-        if _timing:
-            print("[fwd] winner pass+materialize: %.2fs partials=%d"
-                  % (_time.time() - _t0, total_partials))
-        _t1 = _time.time()
 
         # threshold is env-overridable so tests can force the task-graph
         # combine on fixture-size data
@@ -472,15 +465,9 @@ def first_wins_dedup(ds: ray.data.Dataset, key_col: str, cols_bits,
                       for i in range(0, len(prefs), chunk)]
             splits = [split_buckets.options(num_returns=nbuckets)
                       .remote(nbuckets, *g) for g in groups]
-            if _timing:
-                _ray.wait([s[0] for s in splits],
-                          num_returns=len(splits))
-                print("[fwd] combine.split: %.2fs" % (_time.time() - _t1))
             merged = [merge_bucket.remote(*[s[p] for s in splits])
                       for p in range(nbuckets)]
             pieces = _ray.get(merged)
-            if _timing:
-                print("[fwd] combine.merge: %.2fs" % (_time.time() - _t1))
             wk = np.concatenate([p["sortkey"].to_numpy() for p in pieces])
             order2 = np.argsort(wk, kind="stable")
             if want_counts:
@@ -489,9 +476,6 @@ def first_wins_dedup(ds: ray.data.Dataset, key_col: str, cols_bits,
             else:
                 wc = None
             wk = wk[order2]
-        if _timing:
-            print("[fwd] combine: %.2fs winners=%d"
-                  % (_time.time() - _t1, len(wk)))
         ref = _ray.put((wk, wc))
 
         def bfilter(batch: pa.Table) -> pa.Table:
@@ -673,16 +657,6 @@ def explode_bands(num_perm: int = 64, bands: int = 16, id_col: str = "doc_id"):
         })
 
     return explode
-
-
-def _pairs_from_group(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
-    ids = np.sort(np.unique(g[id_col].to_numpy()))
-    if len(ids) < 2:
-        return pd.DataFrame({"id_a": [], "id_b": []})
-    # candidate pairs: anchor smallest id against the rest (transitively
-    # sufficient for cluster labeling; avoids O(n^2) emission per bucket)
-    return pd.DataFrame({"id_a": np.full(len(ids) - 1, ids[0]),
-                         "id_b": ids[1:]})
 
 
 def _emit_bucket_pairs(key_cols, id_col):
@@ -1371,33 +1345,6 @@ def make_simhash_stage(text_col: str, out_col: str = "simhash"):
         return batch.append_column(out_col, pa.array(out, pa.uint64()))
 
     return simhash
-
-
-def simhash_candidates(ds: ray.data.Dataset, text_col: str = "text",
-                       id_col: str = "doc_id", chunks: int = 4
-                       ) -> ray.data.Dataset:
-    """Near-dup candidates: equal 16-bit simhash chunk => candidate
-    (any pair within hamming distance <= chunks-1 shares a chunk)."""
-    ds = ds.map_batches(make_simhash_stage(text_col), batch_format="pyarrow")
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        sh = batch["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        width = 64 // chunks
-        mask = np.uint64((1 << width) - 1)
-        cid, cval, oid = [], [], []
-        for c in range(chunks):
-            cid.append(np.full(len(ids), c, dtype=np.int32))
-            cval.append((sh >> np.uint64(c * width)) & mask)
-            oid.append(ids)
-        return pa.table({"chunk_id": pa.array(np.concatenate(cid), pa.int32()),
-                         "chunk_val": pa.array(np.concatenate(cval), pa.uint64()),
-                         id_col: pa.array(np.concatenate(oid))})
-
-    exploded = ds.map_batches(explode, batch_format="pyarrow",
-                              batch_size=None)
-    return _bucketed_candidate_pairs(exploded, ["chunk_id", "chunk_val"],
-                                     id_col, "chunk_val")
 
 
 def hamming64(a: int, b: int) -> int:

@@ -7,30 +7,38 @@ this engine's post-dedup survivor streams (measured: the flagship's
 politeness groupby + final order sort added ~6 s of wall at 8 CPUs for
 a 593k-row / ~80 MB stream whose actual kernel work is <0.5 s).
 
-This module implements the same two-round shuffle as a direct Ray task
-graph (the pattern already proven by the first-wins winner combine,
-dedup.py): a SPLIT round partitions each input block into per-bucket
-slices (single argsort pass, ``num_returns`` slices per task), a MERGE
-round concatenates and reduces each bucket. No sampling round for the
-hash exchange; the range exchange derives its boundaries from samples
-the merge round returns as a side output — the driver only ever sees
-O(num_buckets x sample) keys, never rows.
+This module implements the same shuffles as direct Ray task graphs
+(the pattern already proven by the first-wins winner combine,
+dedup.py), each a SPLIT round that partitions every input block into
+per-bucket slices (single argsort pass, ``num_returns`` slices per
+task) and a MERGE round that concatenates and reduces each bucket:
+
+- :func:`hash_bucket_apply` — group-apply by an int bucket column (the
+  ``groupby().map_groups()`` twin); no sampling round.
+- :func:`range_order` — global lexicographic order (the
+  ``Dataset.sort()`` twin); one sampling task per block picks the range
+  boundaries, so the driver only ever sees O(blocks x sample) keys,
+  never rows.
 
 Scale contract: rounds are O(blocks + buckets) tasks and the driver
 holds only object refs + samples, so the pattern scales exactly like
 the executor shuffle it replaces; use it when per-job fixed latency
-matters (the scheduling tail of a much larger pipeline), and prefer
-``Dataset.sort`` when the stream is itself the dominant cost and you
-want the executor's spill/backpressure machinery.
+matters (the scheduling tail of a much larger pipeline). An input over
+``EXCHANGE_BYTES_BUDGET`` falls back to the executor operator, which
+brings its spill/backpressure machinery.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
 import ray
+import ray.data
+
+logger = logging.getLogger(__name__)
 
 
 def _split_by_code(tbl: pa.Table, codes: np.ndarray, n: int):
@@ -76,34 +84,45 @@ def _split_hash(bucket_col: str, nb: int, *tbls):
 
 
 @ray.remote
-def _merge_bucket(merge_fn, sample_col, sample_every: int, *tbls):
-    """Concat one bucket's slices, apply ``merge_fn``, and (optionally)
-    return every ``sample_every``-th value of ``sample_col`` as the
-    boundary-sample side output for a downstream range exchange."""
+def _merge_bucket(merge_fn, *tbls):
+    """Concat one bucket's slices and apply ``merge_fn``."""
     t = pa.concat_tables([x for x in tbls if x.num_rows] or [tbls[0]],
                          promote_options="permissive")
-    t = merge_fn(t)
-    if sample_col is None:
-        return t, None
-    v = t[sample_col].to_numpy(zero_copy_only=False)
-    return t, np.sort(v)[::max(sample_every, 1)].copy()
+    return merge_fn(t)
+
+
+#: every SAMPLE_EVERY-th value of a block's sorted range key is a
+#: boundary sample
+SAMPLE_EVERY = 64
 
 
 @ray.remote
-def _split_range(sort_col: str, bounds: np.ndarray, tbl: pa.Table):
-    v = tbl[sort_col].to_numpy(zero_copy_only=False)
+def _sample(col: str, tbl):
+    """Boundary samples of one block's ``col``; None for an empty block
+    (which may carry no schema at all)."""
+    tbl = _as_arrow(tbl)
+    if not tbl.num_rows:
+        return None
+    v = tbl[col].to_numpy(zero_copy_only=False)
+    return np.sort(v)[::SAMPLE_EVERY].copy()
+
+
+@ray.remote
+def _split_range(col: str, bounds: np.ndarray, *tbls):
+    tbl = pa.concat_tables([_as_arrow(t) for t in tbls],
+                           promote_options="permissive")
+    v = tbl[col].to_numpy(zero_copy_only=False)
     codes = np.searchsorted(bounds, v, side="right")
     slices = _split_by_code(tbl, codes, len(bounds) + 1)
     return slices[0] if len(slices) == 1 else tuple(slices)
 
 
 @ray.remote
-def _merge_range(sort_col: str, drop_sort_col: bool, *tbls):
+def _merge_range(cols: Sequence[str], *tbls):
     t = pa.concat_tables([x for x in tbls if x.num_rows] or [tbls[0]],
                          promote_options="permissive")
-    v = t[sort_col].to_numpy(zero_copy_only=False)
-    t = t.take(pa.array(np.argsort(v, kind="stable")))
-    return t.drop_columns([sort_col]) if drop_sort_col else t
+    keys = [t[c].to_numpy(zero_copy_only=False) for c in reversed(cols)]
+    return t.take(pa.array(np.lexsort(keys)))
 
 
 def _cluster_cpus() -> int:
@@ -122,31 +141,36 @@ def _chunked(refs: Sequence, max_tasks: int | None = None):
 
 
 #: direct-task-graph budget: a materialized input above this falls back
-#: to the executor groupby (spill/backpressure machinery) instead of
+#: to the executor operator (spill/backpressure machinery) instead of
 #: holding the whole stream as task-graph refs. The contract ("narrow /
 #: post-reduction streams only") is enforced, not advisory.
 EXCHANGE_BYTES_BUDGET = 2 << 30
 
 
+def _over_budget(mat: ray.data.Dataset, bytes_budget: int | None,
+                 what: str) -> bool:
+    size = mat.size_bytes() or 0
+    if bytes_budget is None or size <= bytes_budget:
+        return False
+    logger.warning(
+        "%s input is %.1f MB (> %.1f MB budget): falling back to the "
+        "executor path — this exchange is for narrow/post-reduction "
+        "streams", what, size / 1e6, bytes_budget / 1e6)
+    return True
+
+
 def hash_bucket_apply(ds: ray.data.Dataset, bucket_col: str,
                       merge_fn: Callable[[pa.Table], pa.Table], *,
                       num_buckets: int = 64,
-                      sort_col: str | None = None,
-                      num_ranges: int | None = None,
-                      sample_every: int = 64,
-                      drop_sort_col: bool = False,
                       bytes_budget: int = EXCHANGE_BYTES_BUDGET
                       ) -> ray.data.Dataset:
-    """Group-apply + (optional) global range sort as one task graph.
+    """Group-apply as one task graph.
 
     Every row whose ``bucket_col`` matches lands in exactly one MERGE
     task, which runs ``merge_fn`` over the whole group-set — identical
     semantics to ``groupby(bucket_col).map_groups(merge_fn)`` for
     kernels (like the politeness scheduler) that handle multiple
-    groups per call. With ``sort_col`` set, a second range exchange
-    leaves the result globally ordered by that column (equivalent to a
-    trailing ``Dataset.sort(sort_col)``), with range boundaries from
-    merge-side samples.
+    groups per call.
 
     Executes eagerly (the task graph needs materialized input blocks);
     the input should be the narrow/post-reduction stream of a pipeline,
@@ -155,22 +179,9 @@ def hash_bucket_apply(ds: ray.data.Dataset, bucket_col: str,
     spill/backpressure instead of object-store pressure).
     """
     mat = ds.materialize()
-    if bytes_budget is not None and \
-            (mat.size_bytes() or 0) > bytes_budget:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "hash_bucket_apply input is %.1f MB (> %.1f MB budget): "
-            "falling back to the executor groupby path — this exchange "
-            "is for narrow/post-reduction streams",
-            (mat.size_bytes() or 0) / 1e6, bytes_budget / 1e6)
-        out = mat.groupby(bucket_col).map_groups(
+    if _over_budget(mat, bytes_budget, "hash_bucket_apply"):
+        return mat.groupby(bucket_col).map_groups(
             merge_fn, batch_format="pyarrow")
-        if sort_col is not None:
-            out = out.sort(sort_col)
-            if drop_sort_col:
-                out = out.drop_columns([sort_col])
-        return out
     refs = mat.to_arrow_refs()
     # upstream Filter/map stages emit schema-less zero-row blocks that
     # would poison pa.concat_tables — drop them (worker-side row-count
@@ -192,29 +203,45 @@ def hash_bucket_apply(ds: ray.data.Dataset, bucket_col: str,
               for g in _chunked(refs)]
     if nb == 1:  # num_returns=1 collapses the tuple
         splits = [[s] for s in splits]
-    merged = [_merge_bucket.options(num_returns=2).remote(
-        merge_fn, sort_col, sample_every, *[sp[b] for sp in splits])
-        for b in range(nb)]
-    bucket_refs = [m[0] for m in merged]
-    if sort_col is None:
-        return ray.data.from_arrow_refs(bucket_refs)
+    return ray.data.from_arrow_refs(
+        [_merge_bucket.remote(merge_fn, *[sp[b] for sp in splits])
+         for b in range(nb)])
 
-    samples = [s for s in ray.get([m[1] for m in merged])
-               if s is not None and len(s)]
-    nr = num_ranges or max(4, min(_cluster_cpus(), len(refs)))
-    if samples:
-        alls = np.sort(np.concatenate(samples))
-        qs = np.linspace(0, len(alls) - 1, nr + 1)[1:-1].astype(np.int64)
-        bounds = np.unique(alls[qs])
-    else:
-        bounds = np.zeros(0, np.int64)
+
+def range_order(ds: ray.data.Dataset, cols: Sequence[str], *,
+                bytes_budget: int = EXCHANGE_BYTES_BUDGET
+                ) -> ray.data.Dataset:
+    """Global order by ``cols`` (lexicographic, ascending) as one range
+    exchange — the task-graph twin of ``Dataset.sort(cols)``.
+
+    Range boundaries are quantiles of sampled ``cols[0]`` values, and a
+    row goes to range ``searchsorted(bounds, cols[0], 'right')``, so
+    rows with equal ``cols[0]`` always share a range; each range's
+    merge ``np.lexsort``s all of ``cols``. Concatenating the ranges in
+    order is therefore the global order, whatever the value widths.
+
+    Executes eagerly, like :func:`hash_bucket_apply`; a stream over
+    ``bytes_budget`` falls back to the executor ``Dataset.sort``.
+    """
+    mat = ds.materialize()
+    if _over_budget(mat, bytes_budget, "range_order"):
+        return mat.sort(list(cols))
+    refs = mat.to_arrow_refs()
+    samples = ray.get([_sample.remote(cols[0], r) for r in refs])
+    live = [(r, s) for r, s in zip(refs, samples) if s is not None]
+    if not live:
+        return mat
+    refs = [r for r, _ in live]
+    alls = np.sort(np.concatenate([s for _, s in live]))
+    nr = max(4, min(_cluster_cpus(), len(refs)))
+    qs = np.linspace(0, len(alls) - 1, nr + 1)[1:-1].astype(np.int64)
+    bounds = np.unique(alls[qs])
     nr = len(bounds) + 1
 
     rsplits = [_split_range.options(num_returns=nr).remote(
-        sort_col, bounds, r) for r in bucket_refs]
+        cols[0], bounds, *g) for g in _chunked(refs)]
     if nr == 1:
         rsplits = [[s] for s in rsplits]
-    out = [_merge_range.remote(sort_col, drop_sort_col,
-                               *[s[r] for s in rsplits])
-           for r in range(nr)]
-    return ray.data.from_arrow_refs(out)
+    return ray.data.from_arrow_refs(
+        [_merge_range.remote(list(cols), *[s[r] for s in rsplits])
+         for r in range(nr)])

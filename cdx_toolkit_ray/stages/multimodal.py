@@ -356,26 +356,6 @@ class BmpDecoder:
         return batch
 
 
-class ImageResizer:
-    """Actor-pool stage: decode -> nearest-neighbor resize -> re-encode
-    BMP. Real pixel math end-to-end."""
-
-    def __init__(self, out_w: int = 16, out_h: int = 16):
-        self.out_w, self.out_h = out_w, out_h
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch["payload"].to_numpy(zero_copy_only=False)
-        out = np.empty(len(payloads), dtype=object)
-        for i, p in enumerate(payloads):
-            out[i] = encode_bmp(resize_nearest(decode_bmp(p),
-                                               self.out_w, self.out_h))
-        names = batch.column_names
-        if "payload" in names:
-            batch = batch.set_column(names.index("payload"), "payload",
-                                     pa.array(out, pa.binary()))
-        return batch
-
-
 class WavStats:
     """Actor-pool stage: REAL audio decode — sample rate, sample count,
     exact integer sum of absolute amplitudes, peak amplitude."""

@@ -136,27 +136,6 @@ def detect_charset_batch(batch: pa.Table, html_col: str = "html",
          "bom": pa.array(bom)})
 
 
-class TextExtractor:
-    """Actor-pool stage: html -> text (+ optional length columns)."""
-
-    def __init__(self, html_col: str = "html", out_col: str = "text",
-                 with_lengths: bool = False):
-        self.html_col = html_col
-        self.out_col = out_col
-        self.with_lengths = with_lengths
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        batch = decode_html_batch(batch, self.html_col, self.out_col)
-        if self.with_lengths:
-            batch = batch.append_column(
-                "html_bytes", pc.binary_length(batch[self.html_col]))
-            batch = batch.append_column(
-                "text_chars", pc.utf8_length(batch[self.out_col]))
-        return batch
-
-
 def page_metadata_batch(batch: pa.Table, url_col: str = "url",
                         text_col: str = "text") -> pa.Table:
     """WAT-style page metadata record: per page, the ``title`` (first

@@ -44,15 +44,6 @@ def fingerprint_file(path: str) -> str:
     return h.hexdigest()[:16]
 
 
-def fingerprint_dir(path: str) -> str:
-    h = hashlib.sha256()
-    for f in sorted(os.listdir(path)):
-        if f.endswith(".parquet"):
-            h.update(f.encode())
-            h.update(fingerprint_file(os.path.join(path, f)).encode())
-    return h.hexdigest()[:16]
-
-
 class LineageManifest:
     """JSON-file-backed manifest of completed partitions."""
 

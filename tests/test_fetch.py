@@ -175,7 +175,8 @@ def test_politeness_budget_preserved_under_salting(
         "robots_blocked": np.zeros(n_urls, dtype=bool),
         "host_bucket": np.zeros(n_urls, dtype=np.int64),
     })
-    sched = make_bucket_scheduler(num_salts)(df)
+    sched = make_bucket_scheduler(num_salts)(
+        pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
     for host, g in sched.groupby("host"):
         delay_ms = int(g["crawl_delay_ms"].iloc[0])
         slots = np.sort(g["fetch_ms"].to_numpy())

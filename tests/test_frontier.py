@@ -9,6 +9,8 @@ EXACTLY (north_rule: crawl-order + URL-seen exact match).
 
 from urllib.parse import urlsplit
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -114,37 +116,122 @@ def test_salted_subqueues_preserve_schedule(fixture_dir):
     assert set(hot) == {0, 1, 2, 3}
 
 
-def test_scheduled_crawl_order_matches_executor_path(fixture_dir):
-    """The direct task-graph exchange (politeness + global order in one
-    split/merge graph, stages/exchange.py) must be row-for-row identical
-    to the executor path it replaces, salted and unsalted."""
+def reference_order(gated: pa.Table, num_salts: int = 1,
+                    connections: int = 1) -> pd.DataFrame:
+    """Independent serial reference for politeness + global order: a
+    numpy per-host rank over the WHOLE gated table (no bucketing), then
+    one global lexsort by (fetch_ms, priority, seed_order)."""
+    df = gated.to_pandas()
+    df = df[~df["robots_blocked"].to_numpy()].reset_index(drop=True)
+    host = np.unique(df["host"].to_numpy(), return_inverse=True)[1]
+    by_host = np.lexsort((df["seed_order"].to_numpy(),
+                          df["priority"].to_numpy(), host))
+    sorted_host = host[by_host]
+    first = np.searchsorted(sorted_host, sorted_host)
+    rank = np.empty(len(df), np.int64)
+    rank[by_host] = np.arange(len(df)) - first
+    df["host_rank"] = rank
+    df["fetch_ms"] = (rank // connections) * df["crawl_delay_ms"]
+    if num_salts > 1:
+        df["subqueue"] = rank % num_salts
+    order = np.lexsort((df["seed_order"].to_numpy(),
+                        df["priority"].to_numpy(),
+                        df["fetch_ms"].to_numpy()))
+    return df.iloc[order].reset_index(drop=True)
+
+
+def assert_matches_reference(got: pd.DataFrame, want: pd.DataFrame):
+    cols = [c for c in ("host", "priority", "seed_order", "host_rank",
+                        "fetch_ms", "subqueue") if c in want.columns]
+    assert set(cols) <= set(got.columns)
+    got = got.reset_index(drop=True)
+    for c in cols:
+        assert got[c].astype(want[c].dtype).tolist() == want[c].tolist(), c
+
+
+def test_scheduled_crawl_order_matches_serial_reference(fixture_dir):
+    """The exchange path (hash politeness round + range order round)
+    equals the serial reference row for row, salted and unsalted."""
+    import ray as _ray
     import ray.data as rd
 
-    import ray as _ray
     from cdx_toolkit_ray.canon import canonicalize_batch
     from cdx_toolkit_ray.pipelines.frontier import (
         make_robots_gate,
-        schedule_politeness,
         scheduled_crawl_order,
     )
     from cdx_toolkit_ray.stages.dedup import first_wins_dedup
 
     robots_ref = _ray.put(load_robots(fixture_dir["robots"]))
-
-    def flagged():
-        ds = rd.read_parquet(fixture_dir["seeds"])
-        ds = first_wins_dedup(ds, "hash64",
-                              [("priority", 19), ("seed_order", 44)],
-                              derive_fn=canonicalize_batch)
-        return ds.map_batches(make_robots_gate(robots_ref),
-                              batch_size=None, batch_format="pyarrow")
-
+    ds = rd.read_parquet(fixture_dir["seeds"])
+    ds = first_wins_dedup(ds, "hash64",
+                          [("priority", 19), ("seed_order", 44)],
+                          derive_fn=canonicalize_batch)
+    gated = ds.map_batches(make_robots_gate(robots_ref),
+                           batch_size=None, batch_format="pyarrow") \
+        .materialize()
+    table = pa.concat_tables(
+        gated.iter_batches(batch_format="pyarrow", batch_size=None))
     for salts in (1, 3):
-        old = crawl_order(
-            schedule_politeness(flagged(), num_salts=salts)).to_pandas()
-        new = scheduled_crawl_order(flagged(), num_salts=salts).to_pandas()
-        assert list(old.columns) == list(new.columns)
-        assert old.reset_index(drop=True).equals(new.reset_index(drop=True))
+        got = scheduled_crawl_order(gated, num_salts=salts).to_pandas()
+        assert_matches_reference(got, reference_order(table, salts))
+        assert ("subqueue" in got.columns) == (salts > 1)
+
+
+def _synthetic_gated(n: int, n_hosts: int, seed: int,
+                     blocked_share: float = 0.1) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    host_ids = rng.integers(0, n_hosts, n)
+    delays = np.array([550, 1000, 3000, 6000])[rng.integers(0, 4, n_hosts)]
+    return pa.table({
+        "host": pa.array(["h%d.example" % h for h in host_ids]),
+        "priority": pa.array(rng.integers(0, 100, n), pa.int32()),
+        # far above the 25 bits the old packed order key allowed
+        "seed_order": pa.array((1 << 40) + rng.permutation(n), pa.int64()),
+        "crawl_delay_ms": pa.array(delays[host_ids], pa.int64()),
+        "robots_blocked": pa.array(rng.random(n) < blocked_share),
+    })
+
+
+def _blocks(t: pa.Table, k: int):
+    import ray.data as rd
+
+    step = -(-t.num_rows // k)
+    return rd.from_arrow([t.slice(i, step)
+                          for i in range(0, t.num_rows, step)])
+
+
+def test_crawl_order_wide_keys_connections_and_edge_inputs():
+    """Cases the old packed order key could not hold or never saw:
+    seed_order >= 2^25 and priority >= 4, parallel connections, more
+    politeness buckets than hosts, and an all-blocked input."""
+    from cdx_toolkit_ray.pipelines.frontier import (
+        crawl_order,
+        schedule_politeness,
+        scheduled_crawl_order,
+    )
+
+    t = _synthetic_gated(3000, 40, seed=5)
+    for salts in (1, 3):
+        got = scheduled_crawl_order(_blocks(t, 5), num_salts=salts)
+        assert_matches_reference(got.to_pandas(),
+                                 reference_order(t, salts))
+    got = crawl_order(schedule_politeness(_blocks(t, 5), connections=3))
+    assert_matches_reference(got.to_pandas(),
+                             reference_order(t, connections=3))
+
+    # 3 hosts vs at least 8 buckets: most buckets are empty
+    few = _synthetic_gated(500, 3, seed=6)
+    got = scheduled_crawl_order(_blocks(few, 3)).to_pandas()
+    assert_matches_reference(got, reference_order(few))
+
+    # every row robots-blocked: politeness keeps them all at rank -1,
+    # the crawl order is empty
+    blocked = _synthetic_gated(400, 7, seed=7, blocked_share=1.0)
+    flow = schedule_politeness(_blocks(blocked, 3)).to_pandas()
+    assert len(flow) == 400
+    assert (flow["host_rank"] == -1).all() and (flow["fetch_ms"] == -1).all()
+    assert scheduled_crawl_order(_blocks(blocked, 3)).count() == 0
 
 
 def test_robots_distributed_join_matches_broadcast(fixture_dir):
@@ -224,32 +311,6 @@ def test_robots_prefix_gate_vectorized_semantics():
         1000, 1000, 1000, 1000, 2000, 500, 3000]
 
 
-def test_scheduled_crawl_order_packing_fallback(fixture_dir):
-    """Out-of-range packed keys must fall back to the executor sort, not
-    corrupt the order."""
-    import ray as _ray
-    import ray.data as rd
-
-    from cdx_toolkit_ray.canon import canonicalize_batch
-    from cdx_toolkit_ray.pipelines.frontier import (
-        make_robots_gate,
-        scheduled_crawl_order,
-    )
-    from cdx_toolkit_ray.stages.dedup import first_wins_dedup
-
-    robots_ref = _ray.put(load_robots(fixture_dir["robots"]))
-    ds = rd.read_parquet(fixture_dir["seeds"])
-    ds = first_wins_dedup(ds, "hash64",
-                          [("priority", 19), ("seed_order", 44)],
-                          derive_fn=canonicalize_batch)
-    ds = ds.map_batches(make_robots_gate(robots_ref),
-                        batch_size=None, batch_format="pyarrow")
-    # order_bits too narrow for any seed_order >= 2 -> fallback path
-    out = scheduled_crawl_order(ds, order_bits=(36, 2, 1)).to_pandas()
-    ref = scheduled_crawl_order(ds).to_pandas()
-    assert out.reset_index(drop=True).equals(ref.reset_index(drop=True))
-
-
 def test_parse_robots_handles_noise_and_fractions():
     from cdx_toolkit_ray.pipelines.frontier import parse_robots_batch
 
@@ -306,7 +367,8 @@ def test_parallel_connections_slot_sharing(ray_session):
         "robots_blocked": [False] * 9 + [True] + [False] * 4,
         "crawl_delay_ms": [1000] * 10 + [500] * 4,
     })
-    out = make_bucket_scheduler(connections=3)(g)
+    g = pa.Table.from_pandas(g)
+    out = make_bucket_scheduler(connections=3)(g).to_pandas()
     h = out[out.host == "h"].sort_values("host_rank")
     # 9 eligible rows, K=3: slots 0,0,0,1000,1000,1000,2000,2000,2000
     got = h[h.host_rank >= 0]["fetch_ms"].tolist()
@@ -319,7 +381,7 @@ def test_parallel_connections_slot_sharing(ray_session):
     k = out[out.host == "k"].sort_values("host_rank")
     assert k["fetch_ms"].tolist() == [0, 0, 0, 500]
     # K=1 is the classic scheduler
-    one = make_bucket_scheduler()(g)
+    one = make_bucket_scheduler()(g).to_pandas()
     oh = one[(one.host == "h") & (one.host_rank >= 0)]
     assert sorted(oh["fetch_ms"].tolist()) == \
         [i * 1000 for i in range(9)]

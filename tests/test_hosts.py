@@ -134,7 +134,7 @@ def test_adaptive_schedule_spacing_invariant(ray_session):
             "robots_blocked": pa.array([False] * len(obs)),
         }))
         sched = schedule_politeness(
-            replace_delays(rows, delays), num_buckets=4).to_pandas()
+            replace_delays(rows, delays)).to_pandas()
         for h, grp in sched.groupby("host"):
             ts = np.sort(grp.fetch_ms.to_numpy())
             if len(ts) > 1:

@@ -272,3 +272,19 @@ def test_http_missing_url_column_raises():
         fetch_execute(sched, HttpTransport(min_interval=0.0),
                       max_attempts=3, concurrency=1,
                       batch_size=None).to_pandas()
+
+
+def test_ok_possible_agrees_with_classify():
+    """The body cache keeps a status's body iff some executor flag set
+    (cdx / allow404) classifies it 'ok': 2xx/3xx outside the retryable
+    set, plus 404 for allow404 executors."""
+    from cdx_toolkit_ray.retry import RETRYABLE_STATUSES
+
+    tr = HttpTransport(min_interval=0.0)
+    for status in range(100, 600):
+        ok = "ok" in {tr.policy.classify(status, cdx=cdx, allow404=allow404)
+                      for cdx in (False, True)
+                      for allow404 in (False, True)}
+        assert tr._ok_possible(status) == ok, status
+        assert ok == (status == 404 or (200 <= status < 400 and
+                                        status not in RETRYABLE_STATUSES))

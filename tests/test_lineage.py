@@ -43,6 +43,39 @@ def test_run_frontier_and_resume(fixture_dir, tmp_path):
     assert set(r3["skipped_buckets"]) == {0, 1, 3}
 
 
+def test_rerun_bucket_replaces_its_rows(fixture_dir, tmp_path):
+    """A bucket that runs again (here: every bucket, after one added
+    seed row changes the input fingerprint) replaces its part files, so
+    rows on disk per bucket equal the manifest's ``rows``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    seeds = str(tmp_path / "seeds.parquet")
+    table = pq.read_table(fixture_dir["seeds"])
+    pq.write_table(table, seeds)
+    out = str(tmp_path / "run")
+    run_frontier(seeds, fixture_dir["robots"], out, num_buckets=4)
+
+    extra = table.slice(0, 1).to_pylist()[0]
+    extra.update(url="https://added.example/new-page",
+                 seed_order=max(table["seed_order"].to_pylist()) + 1)
+    pq.write_table(pa.concat_tables(
+        [table, pa.Table.from_pylist([extra], schema=table.schema)]), seeds)
+    r2 = run_frontier(seeds, fixture_dir["robots"], out, num_buckets=4)
+    assert r2["ran_buckets"] == [0, 1, 2, 3]
+
+    with open(r2["manifest"]) as fd:
+        entries = json.load(fd)
+    assert sum(e["rows"] for e in entries.values()) == table.num_rows + 1 \
+        - sum(e["deduped"] for e in entries.values())
+    for b, e in entries.items():
+        part = os.path.join(out, "flow", "host_bucket=%s" % b)
+        on_disk = sum(pq.read_metadata(os.path.join(part, f)).num_rows
+                      for f in os.listdir(part)) \
+            if os.path.isdir(part) else 0
+        assert on_disk == e["rows"], b
+
+
 def test_counters_match_direct_pipeline(fixture_dir, tmp_path):
     from cdx_toolkit_ray.pipelines.frontier import frontier_flow, host_counters
 

@@ -6,7 +6,7 @@ import pytest
 import ray.data
 
 from cdx_toolkit_ray.stages.multimodal import (
-    BmpDecoder, ImageResizer, WavStats, decode_bmp, decode_wav,
+    BmpDecoder, WavStats, decode_bmp, decode_wav,
     encode_bmp, encode_wav, real_media_table, resize_nearest)
 
 pytestmark = pytest.mark.usefixtures("ray_session")
@@ -51,21 +51,6 @@ def test_bmp_decoder_stage_matches_numpy():
         lum = px.sum(axis=2, dtype=np.int64) // 3
         want = np.bincount((lum >> 4).ravel(), minlength=16)
         assert (np.array(got.loc[mid, "lum_hist"]) == want).all()
-
-
-def test_image_resizer_stage_roundtrip():
-    t = real_media_table(16, 42)
-    img = t.filter(pa.compute.equal(t["media_type"], "image"))
-    out = ray.data.from_arrow(img).map_batches(
-        ImageResizer, fn_constructor_kwargs={"out_w": 8, "out_h": 6},
-        batch_format="pyarrow", batch_size=8, concurrency=2).to_pandas()
-    src = {m: p for m, p in zip(img["media_id"].to_pylist(),
-                                img["payload"].to_pylist())}
-    for _, r in out.iterrows():
-        px = decode_bmp(r.payload)
-        assert px.shape == (6, 8, 3)
-        want = resize_nearest(decode_bmp(src[r.media_id]), 8, 6)
-        assert (px == want).all()
 
 
 def test_wav_stats_stage_matches_numpy():

@@ -176,13 +176,14 @@ def test_hash_bucket_apply_equals_serial_groupby(rows, num_buckets):
 
 
 def test_hash_bucket_apply_budget_fallback_identical_rows():
-    """An input over the bytes budget must take the executor groupby
-    fallback (contract enforcement) and return exactly the same rows —
-    including the trailing range-order + drop_sort_col path."""
+    """An input over the bytes budget must take the executor fallbacks
+    (groupby for the hash exchange, Dataset.sort for the range order —
+    contract enforcement) and return exactly the same rows in the same
+    global order."""
     import pandas as pd
     import ray.data
 
-    from cdx_toolkit_ray.stages.exchange import hash_bucket_apply
+    from cdx_toolkit_ray.stages.exchange import hash_bucket_apply, range_order
 
     rng = np.random.default_rng(3)
     df = pd.DataFrame({
@@ -194,19 +195,21 @@ def test_hash_bucket_apply_budget_fallback_identical_rows():
     def per_bucket(tbl: pa.Table) -> pa.Table:
         d = tbl.to_pandas()
         g = d.groupby("k", as_index=False).agg(s=("v", "sum"))
-        g["order"] = g["k"].astype("int64")
-        return pa.Table.from_pandas(g[["k", "s", "order"]],
+        g["odd"] = (g["k"] % 2).astype("int64")
+        return pa.Table.from_pandas(g[["k", "s", "odd"]],
                                     preserve_index=False)
 
     def run(budget):
-        return hash_bucket_apply(
+        grouped = hash_bucket_apply(
             ray.data.from_pandas(df).repartition(4), "bucket",
-            per_bucket, num_buckets=7, sort_col="order",
-            drop_sort_col=True, bytes_budget=budget).to_pandas() \
-            .reset_index(drop=True)
+            per_bucket, num_buckets=7, bytes_budget=budget)
+        return range_order(grouped, ["odd", "k"], bytes_budget=budget) \
+            .to_pandas().reset_index(drop=True)
 
-    direct = run(None if False else 1 << 40)   # far above: direct path
-    fallback = run(0)                          # zero budget: fallback
+    direct = run(1 << 40)   # far above: direct path
+    fallback = run(0)       # zero budget: fallback
     pd.testing.assert_frame_equal(direct, fallback)
-    assert list(direct["k"]) == sorted(direct["k"])  # global order kept
-    assert "order" not in direct.columns
+    # global order kept: the ties on the first column are ordered by the
+    # second
+    keys = list(zip(direct["odd"], direct["k"]))
+    assert keys == sorted(keys) and len(set(direct["k"])) == 40
