@@ -5,12 +5,17 @@ cdx_toolkit/__init__.py:208-384: ``CDXFetcher(source=, crawl=,
 cc_sort=, loglevel=)``, ``.get()``, ``.iter()``, ``.get_size_estimate()``,
 and the dict-duck-typed ``CaptureObject`` with lazy ``.content`` /
 ``.text`` / ``.fetch_warc_record()`` / ``.is_revisit()``) — but backed
-by local Parquet tables and Ray Data pipelines instead of remote CDX
-HTTP APIs.
+by local Parquet tables instead of remote CDX HTTP APIs.
 
-The row-wise iterator here is a convenience veneer over
-``Dataset.iter_rows`` for interactive / small use; bulk content work
-should use the distributed ``pipelines.warcout`` stage instead.
+``iter`` / ``get`` consume the planned task scan of
+``sources.captures`` directly: one Ray task per selected crawl
+partition, results yielded in cc_sort order as each partition's scan
+lands, and ``limit`` stops further scans from being submitted.
+``get_size_estimate`` counts the same plan in one round of tasks.
+``dataset()`` returns the same scan as a ``ray.data.Dataset``. Zipnum
+sources still iterate their Ray Data lookup. The row-wise iterator is
+for interactive / small use; bulk content work should use the
+distributed ``pipelines.warcout`` stage instead.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ import os
 import warnings
 from collections.abc import MutableMapping
 
-import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 
 from .planner import normalize_crawl
-from .sources.captures import query_captures, size_estimate
+from .sources.captures import (plan_query, query_captures, scan_captures,
+                               size_estimate)
 
 LOGGER = logging.getLogger(__name__)
 
@@ -294,21 +300,24 @@ class CDXFetcher:
 
             kw = self._kwargs(kwargs)
             kw.pop("crawl", None)  # single endpoint: no crawl pruning
-            ds = query_zipnum(self.captures_root, url=url, **kw)
+            rows = query_zipnum(self.captures_root, url=url,
+                                **kw).iter_rows()
         elif self.source == "zipnum_multi":
             from .sources.zipnum import query_zipnum_multi
 
             kw = self._kwargs(kwargs)
             kw.pop("crawl", None)
-            ds = query_zipnum_multi(self.captures_root, url=url,
-                                    cc_sort=self.cc_sort, **kw)
+            rows = query_zipnum_multi(self.captures_root, url=url,
+                                      cc_sort=self.cc_sort,
+                                      **kw).iter_rows()
         else:
-            ds = query_captures(self.captures_root, url=url,
-                                source=self.source,
-                                cc_sort=self.cc_sort,
-                                **self._kwargs(kwargs))
+            plan = plan_query(self.captures_root, url=url,
+                              source=self.source, cc_sort=self.cc_sort,
+                              **self._kwargs(kwargs))
+            rows = (row for ref in scan_captures(plan)
+                    for row in ray.get(ref).to_pylist())
         idx = self._index()
-        for row in ds.iter_rows():
+        for row in rows:
             yield CaptureObject(
                 row, content_index=idx,
                 warc_download_prefix=self.warc_download_prefix,
@@ -345,8 +354,8 @@ class CDXFetcher:
                              cc_sort=self.cc_sort, as_pages=as_pages,
                              **self._kwargs(kwargs))
 
-    def dataset(self, url: str | None = None, **kwargs) -> "pa.Table":
-        """The engine-native surface: the lazy Dataset itself."""
+    def dataset(self, url: str | None = None, **kwargs) -> "ray.data.Dataset":
+        """The engine-native surface: the query as a Ray Dataset."""
         if self.source == "zipnum":
             from .sources.zipnum import query_zipnum
 

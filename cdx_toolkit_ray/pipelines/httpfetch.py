@@ -49,6 +49,7 @@ O(batch), never O(crawl).
 
 from __future__ import annotations
 
+import logging
 import time
 import urllib.error
 import urllib.parse
@@ -58,6 +59,8 @@ import numpy as np
 import pyarrow as pa
 
 from ..retry import HostSeenSet, RetryPolicy, minimum_interval_for
+
+LOGGER = logging.getLogger(__name__)
 
 __all__ = ["HttpTransport", "FaultScheduleServer"]
 
@@ -153,9 +156,7 @@ class HttpTransport:
                 "HttpTransport: %d connection errors (> %d budget)"
                 % (self.connect_errors, self.policy.error_after))
         if self.connect_errors > self.policy.warn_after:
-            import logging
-
-            logging.getLogger(__name__).warning(
+            LOGGER.warning(
                 "HttpTransport: %d connection errors",
                 self.connect_errors)
         return CONN_ERROR_STATUS

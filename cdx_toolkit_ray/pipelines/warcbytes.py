@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import gzip as _gzip
 import hashlib
+import logging
 import os
 import uuid
 
 import pyarrow as pa
 import ray.data
+
+LOGGER = logging.getLogger(__name__)
 
 __all__ = ["render_warc_record", "render_warcinfo", "render_record",
            "SegmentedWARCWriter", "get_warc_writer", "parse_warc",
@@ -241,9 +244,7 @@ class SegmentedWARCWriter:
         self.size = size
         self.gzip = gzip
         if warc_version is not None and warc_version != "1.0":
-            import logging
-
-            logging.getLogger(__name__).error(
+            LOGGER.error(
                 "WARC versions other than 1.0 are not correctly "
                 "supported yet")
         self.warc_version = warc_version or "1.0"
@@ -704,9 +705,7 @@ def write_dataset_distributed(
         raise ValueError("size must be positive")
     wv = warc_version or "1.0"
     if warc_version is not None and warc_version != "1.0":
-        import logging
-
-        logging.getLogger(__name__).error(
+        LOGGER.error(
             "WARC versions other than 1.0 are not correctly "
             "supported yet")
     info = dict(info or {})

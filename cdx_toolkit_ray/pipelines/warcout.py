@@ -28,6 +28,7 @@ per run, restart-safe unique-name probing. For cluster-scale output use
 from __future__ import annotations
 
 import json
+import logging
 import os
 
 import numpy as np
@@ -40,6 +41,8 @@ import ray.data
 from ..sources.captures import query_captures
 from ..stages.text import decode_html_batch
 from .frontier import _get_broadcast
+
+LOGGER = logging.getLogger(__name__)
 
 
 def wb_redir_to_original(location: str) -> str:
@@ -331,9 +334,7 @@ class SegmentedParquetWriter:
         self.gzip = gzip
         self.warc_version = warc_version
         if warc_version is not None and warc_version != "1.0":
-            import logging
-
-            logging.getLogger(__name__).error(
+            LOGGER.error(
                 "WARC versions other than 1.0 are not correctly "
                 "supported yet")
         self.segment = 0

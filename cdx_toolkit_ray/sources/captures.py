@@ -2,27 +2,37 @@
 
 Re-expresses the reference's capture-iteration surface
 (cocrawler/cdx_toolkit cdx_toolkit/__init__.py:260-384 — get / iter /
-get_size_estimate, endpoint walk, limit decrement) as a lazily-executed
-``ray.data.Dataset`` pipeline:
+get_size_estimate, endpoint walk, limit decrement) as one planned
+graph of Ray tasks:
 
 * one hive partition ``crawl=CC-MAIN-YYYY-WW/`` of the captures table
   stands in for one per-crawl CDX endpoint (SURVEY.md §1.2)
-* crawl selection + ordering happen at PLAN time (partition pruning —
-  no byte of a non-selected crawl is read)
-* the url match, time window, and filter language run as vectorized
-  pyarrow.compute kernels inside ``map_batches``
-* the cross-crawl ordering contract (ascending (urlkey, timestamp)
-  within a crawl; crawls concatenated in cc_sort order,
-  README.md:243-252) is preserved by per-partition reads + union with
-  ``preserve_order``
-* ``limit`` streams through ``Dataset.limit`` (executor early-stop) —
-  the reference's decrement-and-break (__init__.py:291-294)
+* ``plan_query`` selects and orders the crawls (partition pruning — no
+  byte of a non-selected crawl is read), lists each partition's files
+  and picks the columns to read from the Parquet footers: fields plus
+  predicate columns, or the whole schema when no fields are given
+* one scan task per partition reads its files in sorted path order and
+  runs the vectorized url match, time window and filter language
+  (``CaptureMatcher``) over them
+* ``scan_captures`` submits the scans in cc_sort order, at most the
+  cluster's CPU count in flight, and yields their tables in plan order:
+  ascending (urlkey, timestamp) within a crawl, crawls concatenated in
+  cc_sort order (README.md:243-252)
+* ``limit`` is the reference's decrement-and-break
+  (__init__.py:291-294): once ``limit`` rows are out no further scan is
+  submitted and the last table is sliced. Scans still in flight finish
+  and are dropped; no task is ever cancelled
+* ``closest`` ranks each partition by distance to the target, and one
+  merge task ranks their union, keeping ``limit`` rows
 
-Scale notes: each crawl partition reads independently (no shuffle
-anywhere in this pipeline); column pruning keeps only predicate +
-requested columns; at 100 TB the only wide operation a query can
-trigger is the optional ``resort`` (off by default because CDX
-partitions are sorted on disk).
+``CDXFetcher.iter`` consumes the stream directly, so its first row
+costs one partition's scan; ``query_captures`` wraps the same refs in a
+``ray.data.Dataset`` for pipelines that continue in Ray Data.
+``size_estimate`` counts every selected partition with the same kernel
+and columns in one round of tasks.
+
+Scale notes: partitions scan independently (no shuffle anywhere in
+this source), and a scan holds one file plus its matches in memory.
 """
 
 from __future__ import annotations
@@ -30,10 +40,15 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import deque
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import islice
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from ..filters import apply_filters, compile_filters
@@ -94,10 +109,10 @@ def _url_mask(batch: pa.Table, um: UrlMatch) -> pa.ChunkedArray:
 
 
 class CaptureMatcher:
-    """map_batches callable: url match + time window + filter language.
+    """Table callable: url match + time window + filter language.
 
-    All three predicates are vectorized Arrow kernels compiled once per
-    actor (the filter regexes especially), ANDed per batch.
+    All three predicates are vectorized Arrow kernels compiled once
+    (the filter regexes especially), ANDed per table.
     """
 
     def __init__(self, um: UrlMatch | None, from_ts: str | None,
@@ -106,6 +121,17 @@ class CaptureMatcher:
         self.lo = pad_timestamp(from_ts) if from_ts else None
         self.hi = pad_timestamp_up(to) if to else None
         self.compiled = compile_filters(filters, source)
+
+    @property
+    def predicate_columns(self) -> set[str]:
+        """The columns the predicates read; empty when every row
+        matches."""
+        cols = {cf.field for cf in self.compiled}
+        if self.um is not None:
+            cols.add("urlkey")
+        if self.lo is not None or self.hi is not None:
+            cols.add("timestamp")
+        return cols
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -126,132 +152,221 @@ class CaptureMatcher:
         return apply_filters(batch, self.compiled)
 
 
-def _partition_schema_names(part_dir: str) -> list[str]:
-    """Column names of one crawl partition (footer metadata of the
-    first file — no data read)."""
-    import glob as _glob
+def _partition_files(part: str) -> list[str]:
+    """Parquet files of one partition in sorted path order. A partition
+    is a single parquet FILE (a ``--source`` custom table), a flat
+    directory, or a nested hive layout (recursive walk)."""
+    if os.path.isfile(part):
+        return [part]
+    return sorted(os.path.join(root, f) for root, _, files in os.walk(part)
+                  for f in files if f.endswith(".parquet"))
 
-    if os.path.isfile(part_dir):
-        return pq.read_schema(part_dir).names
-    files = sorted(_glob.glob(os.path.join(part_dir, "*.parquet")))
-    if not files:
-        return []
-    return pq.read_schema(files[0]).names
+
+def _hive_values(path: str) -> dict[str, str]:
+    """``key=value`` directory names on a file's path: the partition
+    columns a hive reader adds to its rows (as strings)."""
+    return dict(d.split("=") for d in os.path.dirname(path).split("/")
+                if d.count("=") == 1)
+
+
+@dataclass(frozen=True)
+class PartitionScan:
+    """One chosen partition: its files and the columns to read from
+    them (``None`` reads the whole schema)."""
+
+    path: str
+    files: list[str]
+    columns: list[str] | None
+
+
+@dataclass(frozen=True)
+class CapturePlan:
+    """A planned capture query: partitions in cc_sort order plus what
+    every scan applies to them."""
+
+    partitions: list[PartitionScan]
+    matcher: CaptureMatcher
+    fields: list[str] | None
+    limit: int | None
+    closest: float | None   # target as unix seconds
 
 
 def plan_query(captures_root: str, url: str | None = None, source: str = "cc",
-               cc_sort: str = "mixed", crawl=None, now: float | None = None,
-               **kwargs) -> tuple[list[str], dict]:
-    """Resolve params and prune partitions; returns (ordered_dirs, params)."""
+               cc_sort: str = "mixed", crawl=None,
+               fields: list[str] | None = None,
+               now: float | None = None, **kwargs) -> CapturePlan:
+    """Resolve params, prune and order partitions, and pick each
+    partition's files and read columns.
+
+    kwargs: from_ts, to, closest, limit, filter, matchType — the
+    reference's param vocabulary (__init__.py:261-262). ``fields`` are
+    the output columns: ``None`` reads and returns the whole schema; a
+    list (empty for a count) reads only those fields plus the predicate
+    and sort columns, as far as the partition's footer schema carries
+    them — a missing positive-filter field matches nothing, which the
+    matcher handles (dynamic-schema parity).
+    """
+    match_type = kwargs.pop("matchType", None)
+    limit = kwargs.pop("limit", None)
+    filters = kwargs.pop("filter", None)
+    closest = kwargs.get("closest")
     params = resolve_query_params(url or "", source=source, crawl=crawl,
                                   now=now, **kwargs)
     if source == "custom":
         # arbitrary-endpoint source (reference source=<URL> analog): the
         # whole table is ONE endpoint — pywb dialect, no crawl pruning
-        return [captures_root], params
-    parts = list_crawl_partitions(captures_root)
-    available = sorted(parts)
-    if source == "cc":
-        chosen = select_crawls(available, cc_sort, params)
+        dirs = [captures_root]
     else:
-        chosen = available
-    return [parts[c] for c in chosen], params
+        parts = list_crawl_partitions(captures_root)
+        available = sorted(parts)
+        chosen = (select_crawls(available, cc_sort, params)
+                  if source == "cc" else available)
+        dirs = [parts[c] for c in chosen]
+    um = url_to_match(url, match_type) if url else None
+    matcher = CaptureMatcher(um, params.get("from_ts"), params.get("to"),
+                             filters, source)
+
+    need = None
+    if fields is not None:
+        need = set(fields) | matcher.predicate_columns
+        if closest is not None:
+            need.update(("urlkey", "timestamp"))  # the ranking's sort keys
+    partitions = []
+    for d in dirs:
+        files = _partition_files(d)
+        if not files:
+            continue  # a partition without parquet files has no rows
+        cols = None
+        if need is not None:
+            present = set(pq.read_schema(files[0]).names) \
+                | set(_hive_values(files[0]))
+            cols = sorted(need & present)
+        partitions.append(PartitionScan(d, files, cols))
+    target = None
+    if closest is not None:
+        target = timestamps_to_epoch(
+            pa.array([pad_timestamp(str(closest))]))[0].as_py()
+    return CapturePlan(partitions, matcher, list(fields) if fields else None,
+                       None if limit is None else int(limit), target)
+
+
+def _read_file(path: str, columns: list[str] | None) -> pa.Table:
+    hive = _hive_values(path)
+    data_cols = None if columns is None else \
+        [c for c in columns if c not in hive]
+    t = pq.ParquetFile(path).read(columns=data_cols)
+    for k, v in hive.items():
+        if k not in t.column_names and (columns is None or k in columns):
+            t = t.append_column(k, pa.array([v] * t.num_rows, pa.string()))
+    return t
+
+
+def _closest_head(table: pa.Table, limit: int | None) -> pa.Table:
+    """Rank by (closest_delta, timestamp, urlkey) — a stable sort, so
+    full ties keep their input order — and keep ``limit`` rows."""
+    return table.sort_by([("closest_delta", "ascending"),
+                          ("timestamp", "ascending"),
+                          ("urlkey", "ascending")]).slice(0, limit)
+
+
+def _select(table: pa.Table, fields: list[str] | None) -> pa.Table:
+    return table.select(fields) if fields else table
+
+
+@ray.remote(num_returns=2)
+def _scan_partition(plan: CapturePlan, i: int) -> tuple[pa.Table, int]:
+    """The scan kernel: read partition ``i``'s files in order, match,
+    and return (matched table, its row count). Without ``closest`` the
+    scan stops reading files once ``limit`` rows matched, since no
+    partition contributes more than ``limit`` rows."""
+    part = plan.partitions[i]
+    tables, n = [], 0
+    for path in part.files:
+        t = plan.matcher(_read_file(path, part.columns))
+        tables.append(t)
+        n += t.num_rows
+        if plan.closest is None and plan.limit is not None \
+                and n >= plan.limit:
+            break
+    table = pa.concat_tables(tables, promote_options="default")
+    if plan.closest is not None:
+        delta = pc.abs(pc.subtract(timestamps_to_epoch(table["timestamp"]),
+                                   plan.closest))
+        table = _closest_head(table.append_column("closest_delta", delta),
+                              plan.limit)
+    else:
+        table = _select(table.slice(0, plan.limit), plan.fields)
+    return table, table.num_rows
+
+
+@ray.remote
+def _merge_closest(plan: CapturePlan, *tables: pa.Table) -> pa.Table:
+    """Rank the union of the partitions' ranked tables. Each holds its
+    partition's best ``limit`` rows, so the union holds the best
+    ``limit`` overall."""
+    merged = pa.concat_tables(tables, promote_options="default")
+    return _select(_closest_head(merged, plan.limit), plan.fields)
+
+
+def _scan_width() -> int:
+    """Scans kept in flight: the cluster's CPU count."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def scan_captures(plan: CapturePlan) -> Iterator[ray.ObjectRef]:
+    """The ordered stream: refs to the plan's matched tables, in plan
+    order, cut at its ``limit``.
+
+    Scans are submitted in plan order with at most the cluster's CPU
+    count in flight. Once ``limit`` rows are out no further scan is
+    submitted, the last table is sliced, and the scans still in flight
+    are left to finish and dropped — nothing is cancelled.
+    """
+    if not plan.partitions:
+        return
+    todo = iter(range(len(plan.partitions)))
+    if plan.closest is not None:
+        yield _merge_closest.remote(
+            plan, *(_scan_partition.remote(plan, i)[0] for i in todo))
+        return
+    # the first .remote() starts Ray when no session is up, so the
+    # width is read after it
+    in_flight = deque([_scan_partition.remote(plan, next(todo))])
+    in_flight.extend(_scan_partition.remote(plan, i)
+                     for i in islice(todo, _scan_width() - 1))
+    remaining = plan.limit
+    while in_flight:
+        table_ref, n_ref = in_flight.popleft()
+        n = ray.get(n_ref)
+        if remaining is not None and n >= remaining:
+            if n > remaining:
+                table_ref = ray.put(ray.get(table_ref).slice(0, remaining))
+            yield table_ref
+            return
+        if remaining is not None:
+            remaining -= n
+        in_flight.extend(_scan_partition.remote(plan, i)
+                         for i in islice(todo, 1))
+        yield table_ref
 
 
 def query_captures(captures_root: str, url: str | None = None,
                    source: str = "cc", cc_sort: str = "mixed", crawl=None,
-                   fields: list[str] | None = None, resort: bool = False,
+                   fields: list[str] | None = None,
                    now: float | None = None, **kwargs) -> ray.data.Dataset:
-    """Build the lazy capture-iteration Dataset (reference .iter parity).
+    """The capture query as a ``ray.data.Dataset`` (reference .iter
+    parity), for pipelines that continue in Ray Data: the stream's
+    tables, in order, as the Dataset's blocks.
 
     kwargs: from_ts, to, closest, limit, filter, matchType — the
     reference's param vocabulary (__init__.py:261-262).
     """
-    match_type = kwargs.pop("matchType", None)
-    limit = kwargs.pop("limit", None)
-    closest = kwargs.get("closest")
-    filters = kwargs.pop("filter", None)
-
-    part_dirs, params = plan_query(captures_root, url=url, source=source,
-                                   cc_sort=cc_sort, crawl=crawl, now=now,
-                                   **kwargs)
-    um = url_to_match(url, match_type) if url else None
-
-    matcher = CaptureMatcher(um, params.get("from_ts"), params.get("to"),
-                             filters, source)
-
-    # Column pushdown: when an explicit field list is given, read only
-    # fields + predicate columns (url match key, timestamp window,
-    # filter fields) — on a wide capture table this is the difference
-    # between scanning metadata and scanning everything. Fields a
-    # partition's schema doesn't carry are skipped (dynamic-schema
-    # parity: a missing positive-filter field matches nothing, which
-    # the matcher already handles).
-    read_columns = None
-    if fields:
-        need = set(fields)
-        if um is not None:
-            need.add("urlkey")
-        if params.get("from_ts") or params.get("to") \
-                or closest is not None:
-            need.add("timestamp")
-        for cf in matcher.compiled:
-            need.add(cf.field)
-        # sort keys: the per-partition (urlkey, timestamp) resort and
-        # the closest ranking sort reference these columns at
-        # execution — omitting them from the pruned read fails the
-        # whole query downstream
-        if resort or closest is not None:
-            need.update(("urlkey", "timestamp"))
-        read_columns = sorted(need)
-
-    # The iteration-order contract (ascending within crawl, crawls
-    # concatenated in cc_sort order) requires deterministic block order
-    # through the union under streaming execution. A Dataset captures
-    # the DataContext at ROOT creation and derived datasets inherit it,
-    # so the flag is scoped to this query's read roots and restored —
-    # unrelated pipelines built later keep full scheduling freedom.
-    exec_opts = ray.data.DataContext.get_current().execution_options
-    saved = exec_opts.preserve_order
-    exec_opts.preserve_order = True
-    try:
-        pieces = []
-        for d in part_dirs:
-            cols = read_columns
-            if cols is not None:
-                present = set(_partition_schema_names(d))
-                cols = [c for c in cols if c in present]
-            ds = ray.data.read_parquet(d, columns=cols)
-            if resort:
-                ds = ds.sort(["urlkey", "timestamp"])
-            pieces.append(ds)
-        if not pieces:
-            return ray.data.from_arrow(pa.table({n: [] for n in ["urlkey"]}))
-        ds = pieces[0]
-        if len(pieces) > 1:
-            ds = ds.union(*pieces[1:])
-    finally:
-        exec_opts.preserve_order = saved
-
-    ds = ds.map_batches(matcher, batch_format="pyarrow")
-
-    if closest is not None:
-        target = timestamps_to_epoch(
-            pa.array([pad_timestamp(str(closest))]))[0].as_py()
-
-        def _delta(batch: pa.Table) -> pa.Table:
-            ep = timestamps_to_epoch(batch["timestamp"])
-            d = pc.abs(pc.subtract(ep, target))
-            return batch.append_column("closest_delta", d)
-
-        ds = ds.map_batches(_delta, batch_format="pyarrow")
-        ds = ds.sort(["closest_delta", "timestamp", "urlkey"])
-
-    if limit is not None:
-        ds = ds.limit(int(limit))
-    if fields:
-        ds = ds.select_columns(fields)
-    return ds
+    plan = plan_query(captures_root, url=url, source=source, cc_sort=cc_sort,
+                      crawl=crawl, fields=fields or None, now=now, **kwargs)
+    refs = list(scan_captures(plan))
+    if not refs:
+        return ray.data.from_arrow(pa.table({"urlkey": []}))
+    return ray.data.from_arrow_refs(refs)
 
 
 def pages_to_samples(pages: int) -> int:
@@ -270,53 +385,33 @@ def size_estimate(captures_root: str, url: str | None = None,
                   now: float | None = None, **kwargs):
     """Approximate result-size estimate (reference get_size_estimate
     parity, __init__.py:344-384): per-crawl matching row counts ->
-    pages of 3,000 -> pages_to_samples, summed with early break past
-    ``limit``.
+    pages of 3,000 -> pages_to_samples, summed in plan order with early
+    break past ``limit``.
 
     Counting is metadata-only (Parquet row counts) when there is no
-    predicate; otherwise a column-pruned count per partition.
+    predicate; otherwise one scan task per partition, all in one round,
+    reading only the predicate columns the query would read.
     """
-    match_type = kwargs.pop("matchType", None)
     limit = kwargs.pop("limit", None)
-    filters = kwargs.pop("filter", None)
     kwargs.pop("closest", None)
-
-    part_dirs, params = plan_query(captures_root, url=url, source=source,
-                                   cc_sort=cc_sort, crawl=crawl, now=now,
-                                   **kwargs)
-    um = url_to_match(url, match_type) if url else None
-    matcher = CaptureMatcher(um, params.get("from_ts"), params.get("to"),
-                             filters, source)
-    unfiltered = um is None and not filters and not params.get("from_ts") \
-        and not params.get("to")
+    plan = plan_query(captures_root, url=url, source=source, cc_sort=cc_sort,
+                      crawl=crawl, fields=[], now=now, **kwargs)
+    if plan.matcher.predicate_columns:
+        counts = ray.get([_scan_partition.remote(plan, i)[1]
+                          for i in range(len(plan.partitions))])
+    else:
+        counts = [sum(pq.read_metadata(f).num_rows for f in p.files)
+                  for p in plan.partitions]
 
     total_pages = 0
     total_samples = 0
     per_crawl = []
-    for d in part_dirs:
-        if unfiltered:
-            # metadata-only count: no scan at all. Handles every shape
-            # a partition "dir" can take: a single parquet FILE (a
-            # --source custom table), a flat directory, or a nested
-            # hive layout (recursive walk).
-            if os.path.isfile(d):
-                n = pq.read_metadata(d).num_rows
-            else:
-                n = sum(pq.read_metadata(os.path.join(root_, f)).num_rows
-                        for root_, _, files in os.walk(d)
-                        for f in files if f.endswith(".parquet"))
-        else:
-            # distributed column-pruned count (never drags rows to the
-            # driver; a 100 GB partition counts in parallel tasks)
-            cols = ["urlkey", "timestamp", "mime", "status", "url"]
-            n = (ray.data.read_parquet(d, columns=cols)
-                 .map_batches(matcher, batch_format="pyarrow")
-                 .count())
+    for part, n in zip(plan.partitions, counts):
         pages = math.ceil(n / LINES_PER_PAGE)
         samples = pages_to_samples(pages)
         total_pages += pages
         total_samples += samples
-        per_crawl.append((os.path.basename(d), samples))
+        per_crawl.append((os.path.basename(part.path), samples))
         if limit is not None and samples > limit:
             break
 

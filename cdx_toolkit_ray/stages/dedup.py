@@ -16,6 +16,7 @@ are independent of execution order and parallelism.
 
 from __future__ import annotations
 
+import logging
 import re
 
 import numpy as np
@@ -23,6 +24,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+LOGGER = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -1009,8 +1012,6 @@ def shared_key_pairs_with_sizes(kd: ray.data.Dataset, *, key_col: str,
     routing via the engine's hash64 and empty-string placeholders in
     the union rows (the psz/sz discriminator columns stay integer).
     """
-    import logging
-
     from .exchange import hash_bucket_apply
 
     nbu = np.uint64(num_buckets)
@@ -1071,7 +1072,7 @@ def shared_key_pairs_with_sizes(kd: ray.data.Dataset, *, key_col: str,
         ln = np.diff(np.r_[st, len(gs)])
         big = ln > max_docs_per_key
         if big.any():
-            logging.getLogger(__name__).warning(
+            LOGGER.warning(
                 "%s: %d keys shared by > %d docs dropped as "
                 "boilerplate", warn_label, int(big.sum()),
                 max_docs_per_key)
@@ -1392,8 +1393,6 @@ def simhash_hamming_pairs(ds: ray.data.Dataset, *,
     per unordered pair. Reference anchor: the digest/urlkey dedup
     identities (cdx_toolkit README.md:207-212, 233-235) generalized
     to near-identity."""
-    import logging
-
     from .exchange import hash_bucket_apply
 
     n_blocks = max_hamming + 1
@@ -1456,7 +1455,7 @@ def simhash_hamming_pairs(ds: ray.data.Dataset, *,
         ln = np.diff(np.r_[st, len(ids)])
         big = ln > max_group
         if big.any():
-            logging.getLogger(__name__).warning(
+            LOGGER.warning(
                 "simhash_hamming_pairs: %d blocks shared by > %d docs "
                 "dropped as boilerplate", int(big.sum()), max_group)
         a_all, b_all, h_all = [], [], []

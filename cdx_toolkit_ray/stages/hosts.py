@@ -27,12 +27,16 @@ quality surface).
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 import ray.data
 
 from ..canon import hash64_batch
 from .exchange import hash_bucket_apply
+
+LOGGER = logging.getLogger(__name__)
 
 
 def host_quality_stats(ds: ray.data.Dataset, *, host_col: str = "host",
@@ -383,14 +387,12 @@ def host_term_similarity(ds: ray.data.Dataset, *,
             "_tb", pa.array((h % nbu).astype(np.int64), pa.int64()))
 
     def pair_emit(t: pa.Table) -> pa.Table:
-        import logging
-
         df = pl.from_arrow(t)
         fan = (df.group_by("term").agg(k=pl.len())
                .filter(pl.col("k") <= max_hosts_per_term))
         dropped = df.select("term").unique().height - fan.height
         if dropped:
-            logging.getLogger(__name__).warning(
+            LOGGER.warning(
                 "host_term_similarity: %d terms over the "
                 "%d-hosts-per-term fanout cap dropped as boilerplate",
                 dropped, max_hosts_per_term)

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import glob
 import json
+import logging
 import os
 
 import numpy as np
 import pyarrow as pa
 import ray.data
+
+LOGGER = logging.getLogger(__name__)
 
 
 def postings(ds: ray.data.Dataset, text_col: str = "text",
@@ -308,13 +311,11 @@ def merge_index(index_dir: str, new_docs: ray.data.Dataset,
         old_dl = ray.data.read_parquet(old_dl_paths,
                                        columns=[idc, "dl"])
     elif old_paths:
-        import logging
-
         # token-less docs have no postings, so a legacy index (built
         # before the sidecar existed) cannot recover their dl=0 rows:
         # the migrated meta n_docs may undercount such docs relative
         # to a fresh build over the same corpus. Loud, not silent.
-        logging.getLogger(__name__).warning(
+        LOGGER.warning(
             "merge_index: legacy layout without a doclen sidecar — "
             "deriving doc lengths from postings; zero-token docs "
             "(if any) are not recoverable and meta n_docs may "

@@ -32,6 +32,8 @@ from D pages costs its bucket O(D) input rows but emits one row.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -40,6 +42,8 @@ import ray.data
 from ..canon import hash64_batch
 from ..state.seen import ShardedSeenSet, SeenFilterStage
 from .exchange import hash_bucket_apply
+
+LOGGER = logging.getLogger(__name__)
 
 # Fixture/HTML attribute convention: single-quoted hrefs. Real HTML
 # would widen this regex; the resolution rule below is unchanged.
@@ -970,8 +974,6 @@ def co_link_pairs(links: ray.data.Dataset, *,
     in one bucket and (key, item) rows are deduped there). Pages never
     shuffle — only narrow url-pair rows move.
     """
-    import logging
-
     from .exchange import hash_bucket_apply
 
     if mode == "cocitation":
@@ -1023,7 +1025,7 @@ def co_link_pairs(links: ray.data.Dataset, *,
         ln = np.diff(np.r_[st, len(k)])
         big = ln > max_fanout
         if big.any():
-            logging.getLogger(__name__).warning(
+            LOGGER.warning(
                 "co_link_pairs: %d keys fanning out to > %d items "
                 "dropped as navigation boilerplate", int(big.sum()),
                 max_fanout)

@@ -22,8 +22,9 @@ that becomes cluster state:
 Determinism note: concurrent ``offer`` arrival order is
 nondeterministic, so the STREAMING seen-set is used for cross-run /
 incremental membership. The frontier pipeline's dedup-for-scheduling is
-the exact ``groupby(hash64).map_groups(first)`` in
-``pipelines/frontier.py``, whose winner rule (min (priority,
+the exact ``stages/dedup.first_wins_dedup`` over ``hash64`` (a
+vectorized min-aggregate plus a semi-join, called from
+``pipelines/frontier.py``), whose winner rule (min (priority,
 seed_order)) is arrival-order independent; the bloom path is verified
 against it for zero false negatives.
 """

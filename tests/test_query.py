@@ -2,15 +2,17 @@
 
 Checks the reference's ordering/limit/filter contracts
 (cocrawler/cdx_toolkit README.md:243-252, __init__.py:260-384) hold for
-the Ray Data implementation.
+the planned task scan.
 """
 
 import glob
+import math
 import os
 
 import duckdb
 import pytest
 
+from cdx_toolkit_ray.sources import captures
 from cdx_toolkit_ray.sources.captures import (
     list_crawl_partitions,
     pages_to_samples,
@@ -111,19 +113,18 @@ def test_fields_projection(fixture_dir):
 
 
 def test_fields_push_column_pruning_into_read(fixture_dir, monkeypatch):
-    """With --fields given, the parquet read itself is pruned to
-    fields + predicate columns (urlkey/timestamp/filter fields) — on a
-    wide capture table this is the metadata-vs-everything difference."""
-    import ray.data as rd
-
+    """With --fields given, the scan kernel reads only fields +
+    predicate columns (urlkey/timestamp/filter fields) — on a wide
+    capture table this is the metadata-vs-everything difference."""
     seen_cols = []
-    real = rd.read_parquet
+    real = captures._scan_partition
 
-    def spy(path, columns=None, **kw):
-        seen_cols.append(columns)
-        return real(path, columns=columns, **kw)
+    class Spy:
+        def remote(self, plan, i):
+            seen_cols.append(plan.partitions[i].columns)
+            return real.remote(plan, i)
 
-    monkeypatch.setattr(rd, "read_parquet", spy)
+    monkeypatch.setattr(captures, "_scan_partition", Spy())
     ds = query_captures(fixture_dir["captures"], url="*.wiki-beta.example",
                         from_ts="2021", to="2024",
                         filter=["=status:200"],
@@ -132,7 +133,6 @@ def test_fields_push_column_pruning_into_read(fixture_dir, monkeypatch):
     for c in seen_cols:
         assert set(c) == {"url", "mime", "urlkey", "timestamp", "status"}
     # pruned read returns the same rows as the unpruned path
-    monkeypatch.setattr(rd, "read_parquet", real)
     full = query_captures(fixture_dir["captures"],
                           url="*.wiki-beta.example",
                           from_ts="2021", to="2024",
@@ -142,7 +142,6 @@ def test_fields_push_column_pruning_into_read(fixture_dir, monkeypatch):
     assert got.reset_index(drop=True).equals(full.reset_index(drop=True))
     # no-fields queries keep reading the full dynamic schema
     seen_cols.clear()
-    monkeypatch.setattr(rd, "read_parquet", spy)
     query_captures(fixture_dir["captures"], url="*.wiki-beta.example")
     assert seen_cols and all(c is None for c in seen_cols)
 
@@ -186,6 +185,71 @@ def test_size_estimate_math(fixture_dir):
     assert pages >= 1
 
 
+@pytest.mark.parametrize("filt", ["=languages:eng", "!~digest:[0-9A-F]+"])
+def test_size_estimate_filters_any_column(fixture_dir, filt):
+    """A filter on a column outside the url/window/mime/status set is
+    counted, not treated as a missing field: the estimate equals the
+    page arithmetic over the rows iter returns."""
+    import cdx_toolkit_ray as ctr
+
+    cdx = ctr.CDXFetcher(captures_root=fixture_dir["captures"])
+    kw = dict(crawl="CC-MAIN-2022-40", filter=[filt])
+    n = sum(1 for _ in cdx.iter("*.big-portal.example", **kw))
+    assert (n > 0) == filt.startswith("=")
+    pages = math.ceil(n / 3000)
+    assert cdx.get_size_estimate("*.big-portal.example", as_pages=True,
+                                 **kw) == pages
+    assert cdx.get_size_estimate("*.big-portal.example",
+                                 **kw) == pages_to_samples(pages)
+
+
+def test_limit_calls_never_cancel(fixture_dir, monkeypatch):
+    """limit stops submitting scans instead of cancelling them: 200
+    get/iter calls with limit in {1, 7, 100} never call ray.cancel, and
+    each returns the first ``limit`` rows of the unlimited query."""
+    import ray
+
+    import cdx_toolkit_ray as ctr
+
+    cancels = []
+    real_cancel = ray.cancel
+
+    def spy(*a, **kw):
+        cancels.append(a)
+        return real_cancel(*a, **kw)
+
+    monkeypatch.setattr(ray, "cancel", spy)
+    queries = [(sort, url, kw)
+               for sort in ("mixed", "ascending")
+               for url, kw in (("*.big-portal.example", {}),
+                               ("*.news-hub.example",
+                                {"filter": ["=status:200"]}),
+                               ("big-portal.example/*", {}),
+                               ("*.shop.example",
+                                {"filter": ["!=status:404"]}))]
+    fetchers = {sort: ctr.CDXFetcher(captures_root=fixture_dir["captures"],
+                                     cc_sort=sort)
+                for sort in ("mixed", "ascending")}
+    full = {}
+    for sort, url, kw in queries:
+        full[sort, url] = [(o["urlkey"], o["timestamp"], o["crawl"])
+                           for o in fetchers[sort].iter(
+                               url, from_ts="2021", to="2024", **kw)]
+    # limit 100 reaches past the first crawl for some query
+    assert any(len({c for _, _, c in rows[:100]}) > 1
+               for rows in full.values())
+    for k in range(200):
+        sort, url, kw = queries[k % len(queries)]
+        limit = (1, 7, 100)[k % 3]
+        call = (fetchers[sort].get if k // len(queries) % 2
+                else fetchers[sort].iter)
+        got = [(o["urlkey"], o["timestamp"], o["crawl"])
+               for o in call(url, from_ts="2021", to="2024", limit=limit,
+                             **kw)]
+        assert got == full[sort, url][:limit], (sort, url, limit)
+    assert cancels == []
+
+
 def test_crawl_name_selection(fixture_dir):
     ds = query_captures(fixture_dir["captures"], crawl=["CC-MAIN-2022-05"])
     con = _con(fixture_dir)
@@ -197,33 +261,37 @@ def test_crawl_name_selection(fixture_dir):
 
 def test_preserve_order_scoped_to_query(fixture_dir):
     """query_captures must not leak preserve_order into the global
-    DataContext: the returned dataset keeps it (captured at root
-    creation), while unrelated datasets built afterwards do not."""
+    DataContext, while the Dataset it returns keeps the cross-crawl
+    order (newest crawl first under cc_sort=mixed, ascending
+    (urlkey, timestamp) within a crawl)."""
     import ray.data
 
     ds = query_captures(fixture_dir["captures"], "*.big-portal.example",
-                        from_ts="2021", to="2024", limit=5)
-    assert ds.context.execution_options.preserve_order is True
+                        from_ts="2021", to="2024")
     assert (ray.data.DataContext.get_current()
             .execution_options.preserve_order is False)
     fresh = ray.data.range(4)
     assert fresh.context.execution_options.preserve_order is False
-    assert ds.count() == 5  # still executes with ordering intact
+    got = [(r["urlkey"], r["timestamp"]) for r in ds.take_all()]
+    con = _con(fixture_dir)
+    per_crawl = [con.execute(
+        "SELECT urlkey, timestamp FROM captures WHERE crawl=? AND "
+        "(urlkey LIKE 'example,big-portal)%' OR "
+        "urlkey LIKE 'example,big-portal,%') "
+        "ORDER BY urlkey, timestamp", [crawl]).fetchall()
+        for crawl in sorted(list_crawl_partitions(fixture_dir["captures"]),
+                            reverse=True)]
+    assert sum(1 for rows in per_crawl if rows) > 1
+    assert got == [r for rows in per_crawl for r in rows]
 
 
 def test_pushdown_keeps_sort_keys(ray_session, fixture_dir):
-    """fields= pruning must still read the resort/closest sort keys."""
-    from cdx_toolkit_ray.sources.captures import query_captures
-
+    """fields= pruning must still read the closest sort keys."""
     root = fixture_dir["captures"]
-    out = query_captures(root, url="*.big-portal.example",
-                         from_ts="2021", to="2024",
-                         fields=["url"], resort=True).to_pandas()
+    out = query_captures(root, url=None, closest="20220601000000",
+                         from_ts="2021", to="2024", limit=5,
+                         fields=["url"]).to_pandas()
     assert len(out) > 0
-    out2 = query_captures(root, url=None, closest="20220601000000",
-                          from_ts="2021", to="2024", limit=5,
-                          fields=["url"]).to_pandas()
-    assert len(out2) > 0
 
 
 def test_size_estimate_on_file_source(ray_session, fixture_dir):
