@@ -23,12 +23,16 @@ HTTP CDX client, cdx_toolkit/__init__.py); this family exists for the
 crawl-frontier north star — ball growth and harmonic centrality are
 standard crawl-ordering / seed-quality signals.
 
-Dataflow (the kcore_peel/link_rank shape): edges are hash-bucketed by
-``src`` ONCE and cached in the object store; every round moves only
-the narrow frontier (exact) or the register matrix (HyperBall).
+Dataflow (the kcore_peel/link_rank shape, on the ``stages/exchange.py``
+primitive): ``partition`` hash-buckets the edges ONCE and caches them
+in the object store; every round is a ``scatter`` / ``gather`` pair
+that moves only the narrow frontier (exact) or the register rows
+(HyperBall).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -36,24 +40,16 @@ import ray
 import ray.data
 
 from ..canon import hash64_batch
-
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (the engine-wide key mixer)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+from .dedup import _PHI, _mix64
+from .exchange import (concat, distinct, gather, partition, rehash, scatter,
+                       split_by_code, split_by_hash, superstep, vertices)
 
 
-def _pair_hash(root: pa.Array | np.ndarray,
-               node: pa.Array | np.ndarray) -> np.ndarray:
-    hr = hash64_batch(root if isinstance(root, pa.Array)
-                      else pa.array(root, pa.string()))
-    hn = hash64_batch(node if isinstance(node, pa.Array)
-                      else pa.array(node, pa.string()))
-    return _mix64(hr * _PHI ^ hn)
+def _pair_codes(pairs: pa.Table, nb: int) -> np.ndarray:
+    """Pair-hash bucket codes of (root, node) rows."""
+    h = _mix64(hash64_batch(pairs["root"]) * _PHI
+               ^ hash64_batch(pairs["node"]))
+    return (h % np.uint64(nb)).astype(np.int64)
 
 
 def _ranges_to_indices(starts: np.ndarray, counts: np.ndarray
@@ -75,90 +71,45 @@ _EMPTY_VIS = pa.table({"root": pa.array([], pa.string()),
                        "dist": pa.array([], pa.int64())})
 
 
-@ray.remote
-def _nf_edges(*tbls: pa.Table) -> pa.Table:
-    """One src-bucket's edge slices -> distinct (src, dst) sorted by
-    src (searchsorted-ready for every later expansion)."""
-    live = [t for t in tbls if t.num_rows]
-    if not live:
-        return _EMPTY_PAIRS.rename_columns(["src", "dst"])
-    import polars as pl
-
-    t = pa.concat_tables(live, promote_options="permissive")
-    df = pl.from_arrow(t.select(["src", "dst"])).unique() \
-        .sort(["src", "dst"])
-    return df.to_arrow().cast(pa.schema([("src", pa.string()),
-                                         ("dst", pa.string())]))
+def _edge_buckets(links: ray.data.Dataset, nb: int, src_col: str,
+                  dst_col: str, key: str = "src") -> list:
+    """Distinct (src, dst) edges cached per ``hash64(key)`` bucket,
+    sorted by key."""
+    other = "dst" if key == "src" else "src"
+    return partition(links, nb, key, (("src", src_col), ("dst", dst_col)),
+                     partial(distinct, (key, other)))
 
 
-@ray.remote
-def _nf_init(nb: int, *node_slices: pa.Table):
-    """One node-bucket's distinct urls -> (frontier table for this
-    bucket, visited (v, v, 0) slices routed by pair hash)."""
-    import pyarrow.compute as pc
-
-    arrs = [t["url"].combine_chunks() for t in node_slices
-            if t.num_rows]
-    if not arrs:
-        empty_f = _EMPTY_PAIRS
-        out = [empty_f] + [_EMPTY_VIS] * nb
-        return tuple(out)
-    u = pc.unique(pa.concat_arrays(arrs)).cast(pa.string())
-    front = pa.table({"root": u, "node": u})
-    ph = (_pair_hash(u, u) % np.uint64(nb)).astype(np.int64)
-    order = np.argsort(ph, kind="stable")
-    un = u.take(pa.array(order))
-    bounds = np.searchsorted(ph[order], np.arange(nb + 1))
-    vis = []
-    for p in range(nb):
-        s = un.slice(bounds[p], bounds[p + 1] - bounds[p])
-        vis.append(pa.table({
-            "root": s, "node": s,
-            "dist": pa.array(np.zeros(len(s), np.int64), pa.int64())}))
-    return tuple([front] + vis)
+def _nf_self_pairs(nb: int, nodes: pa.Table) -> list:
+    """One node-bucket's (v, v) pairs, routed by pair hash."""
+    pairs = pa.table({"root": nodes["url"], "node": nodes["url"]})
+    return split_by_code(pairs, _pair_codes(pairs, nb), nb)
 
 
-@ray.remote
-def _nf_expand(nb: int, edges: pa.Table, *front_parts: pa.Table):
-    """Expand one node-bucket's frontier along its cached out-edges;
-    candidate (root, dst) pairs are pre-split by pair hash."""
-    live = [t for t in front_parts if t.num_rows]
-    if not live or edges.num_rows == 0:
-        out = [_EMPTY_PAIRS] * nb
-        return out[0] if nb == 1 else tuple(out)
-    f = pa.concat_tables(live, promote_options="permissive")
+def _nf_expand(nb: int, edges: pa.Table, front_parts: list):
+    """Expand one node-bucket's frontier along its cached out-edges
+    (sorted by src); candidate (root, dst) pairs route by pair hash."""
+    f = concat(front_parts)
     roots = f["root"].combine_chunks().to_numpy(zero_copy_only=False)
     nodes = f["node"].combine_chunks().to_numpy(zero_copy_only=False)
     src = edges["src"].combine_chunks().to_numpy(zero_copy_only=False)
-    dst = edges["dst"].combine_chunks()
     lo = np.searchsorted(src, nodes, side="left")
     hi = np.searchsorted(src, nodes, side="right")
     counts = (hi - lo).astype(np.int64)
     idx = _ranges_to_indices(lo.astype(np.int64), counts)
-    if len(idx) == 0:
-        out = [_EMPTY_PAIRS] * nb
-        return out[0] if nb == 1 else tuple(out)
-    cr = np.repeat(roots, counts)
-    cd = dst.take(pa.array(idx))
-    cra = pa.array(cr, pa.string())
-    ph = (_pair_hash(cra, cd) % np.uint64(nb)).astype(np.int64)
-    order = np.argsort(ph, kind="stable")
-    t = pa.table({"root": cra, "node": cd}).take(pa.array(order))
-    bounds = np.searchsorted(ph[order], np.arange(nb + 1))
-    out = [t.slice(bounds[p], bounds[p + 1] - bounds[p])
-           for p in range(nb)]
-    return out[0] if nb == 1 else tuple(out)
+    cand = pa.table({
+        "root": pa.array(np.repeat(roots, counts), pa.string()),
+        "node": edges["dst"].combine_chunks().take(pa.array(idx))})
+    return split_by_code(cand, _pair_codes(cand, nb), nb)
 
 
-@ray.remote
-def _nf_gather(d: int, nb: int, vis: pa.Table, *cands: pa.Table):
+def _nf_visit(d: int, nb: int, vis: pa.Table, cands: list):
     """One pair-bucket: distinct new candidates not yet visited join
     the visited set at dist=d; new pairs are re-routed by NODE hash
     (the next round's expansion key)."""
-    live = [t for t in cands if t.num_rows]
-    if not live:
-        return tuple([vis] + [_EMPTY_PAIRS] * nb)
-    c = pa.concat_tables(live, promote_options="permissive")
+    c = concat(cands)
+    if not c.num_rows:
+        return (vis, *[_EMPTY_PAIRS] * nb)
     cr = c["root"].combine_chunks().to_numpy(zero_copy_only=False)
     cn = c["node"].combine_chunks().to_numpy(zero_copy_only=False)
     ckey = np.char.add(np.char.add(cr.astype(str), "\x00"),
@@ -177,34 +128,43 @@ def _nf_gather(d: int, nb: int, vis: pa.Table, *cands: pa.Table):
         pos_c = np.minimum(pos, len(vkey) - 1)
         seen = vkey[pos_c] == ckey
         cr, cn = cr[~seen], cn[~seen]
-    if len(cr) == 0:
-        return tuple([vis] + [_EMPTY_PAIRS] * nb)
-    new = pa.table({
-        "root": pa.array(cr, pa.string()),
-        "node": pa.array(cn, pa.string()),
-        "dist": pa.array(np.full(len(cr), d, np.int64), pa.int64())})
-    vis_out = pa.concat_tables([vis, new],
-                               promote_options="permissive") \
-        if vis.num_rows else new
-    na = pa.array(cn, pa.string())
-    hb = (hash64_batch(na) % np.uint64(nb)).astype(np.int64)
-    order = np.argsort(hb, kind="stable")
-    t = pa.table({"root": pa.array(cr[order], pa.string()),
-                  "node": pa.array(cn[order], pa.string())})
-    bounds = np.searchsorted(hb[order], np.arange(nb + 1))
-    slices = [t.slice(bounds[p], bounds[p + 1] - bounds[p])
-              for p in range(nb)]
-    return tuple([vis_out] + slices)
+    new = pa.table({"root": pa.array(cr, pa.string()),
+                    "node": pa.array(cn, pa.string())})
+    vis_out = concat([vis, new.append_column(
+        "dist", pa.array(np.full(len(cr), d, np.int64), pa.int64()))])
+    return (vis_out, *split_by_hash(new, "node", nb))
 
 
-@ray.remote
-def _nf_partial(lcm: int, fb: int, vis: pa.Table) -> pa.Table:
+def _node_table(url: pa.Array, outdeg: np.ndarray) -> pa.Table:
+    return pa.table({"url": url})
+
+
+def _ball_pairs(links: ray.data.Dataset, nb: int, radius: int,
+                src_col: str, dst_col: str) -> list:
+    """The exact BFS pair stream: per pair bucket, the visited
+    ``(root, node, dist)`` rows with ``dist <= radius``.
+
+    Edges are cached per src bucket ONCE; the frontier lives in node
+    buckets and the visited set in pair buckets, so a hop is one
+    expand scatter (frontier x out-edges -> candidates by pair hash)
+    and one visit gather (dedup vs visited, emitting the new frontier
+    by node hash as extra returns)."""
+    edges_b = _edge_buckets(links, nb, src_col, dst_col)
+    cands = scatter(_nf_self_pairs, vertices(edges_b, _node_table))
+    vis_b = [_EMPTY_VIS] * nb
+    for d in range(radius + 1):
+        outs = gather(partial(_nf_visit, d, nb), vis_b, inbox=cands,
+                      returns=1 + nb)
+        vis_b = [o[0] for o in outs]
+        if d < radius:
+            front = [[o[1 + b] for o in outs] for b in range(nb)]
+            cands = scatter(_nf_expand, edges_b, inbox=front)
+    return vis_b
+
+
+def _nf_partial(lcm: int, nb: int, vis: pa.Table) -> list:
     """One pair-bucket's visited rows -> per-root partial (count,
-    harmonic numerator), bucketed by root for the final fold."""
-    sch = pa.schema([("url", pa.string()), ("ball", pa.int64()),
-                     ("h_num", pa.int64()), ("_b", pa.int64())])
-    if vis.num_rows == 0:
-        return sch.empty_table()
+    harmonic numerator), routed by root for the final fold."""
     r = vis["root"].combine_chunks().to_numpy(zero_copy_only=False)
     dist = vis["dist"].to_numpy(zero_copy_only=False)
     order = np.argsort(r, kind="stable")
@@ -215,27 +175,21 @@ def _nf_partial(lcm: int, fb: int, vis: pa.Table) -> pa.Table:
     cnt = np.diff(np.r_[st, len(r)]).astype(np.int64)
     contrib = np.where(dist > 0, lcm // np.maximum(dist, 1), 0)
     hsum = np.add.reduceat(contrib, st).astype(np.int64)
-    roots = pa.array(r[st], pa.string())
-    b = (hash64_batch(roots) % np.uint64(fb)).astype(np.int64)
-    return pa.table({"url": roots, "ball": pa.array(cnt),
-                     "h_num": pa.array(hsum),
-                     "_b": pa.array(b, pa.int64())})
+    t = pa.table({"url": pa.array(r[st], pa.string()),
+                  "ball": pa.array(cnt, pa.int64()),
+                  "h_num": pa.array(hsum, pa.int64())})
+    return split_by_hash(t, "url", nb)
 
 
-def _keyed_edges(links: ray.data.Dataset, nb: int,
-                 src_col: str, dst_col: str) -> ray.data.Dataset:
-    nbu = np.uint64(nb)
+def _sum_by(key: str, parts: list) -> pa.Table:
+    """Fold partial rows: sum every other column per ``key``."""
+    import polars as pl
 
-    def key(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].cast(pa.string())
-        d = batch[dst_col].cast(pa.string())
-        h = hash64_batch(s.combine_chunks())
-        return pa.table({
-            "bucket": pa.array((h % nbu).astype(np.int64), pa.int64()),
-            "src": s, "dst": d})
-
-    return links.map_batches(key, batch_format="pyarrow",
-                             batch_size=None)
+    t = concat(parts)
+    vals = [c for c in t.column_names if c != key]
+    return (pl.from_arrow(t).group_by(key)
+            .agg([pl.col(c).sum() for c in vals])
+            .to_arrow().cast(t.schema))
 
 
 def neighborhood_function(links: ray.data.Dataset, *, radius: int = 3,
@@ -259,7 +213,8 @@ def neighborhood_function(links: ray.data.Dataset, *, radius: int = 3,
 
     Dataflow: edges bucket-cached by src ONCE; each hop moves only the
     frontier pair stream twice (expand by node key, dedup by pair
-    key). Returns ``(url, ball, h_num)``.
+    key) — see ``_ball_pairs``; one root-keyed scatter/gather folds
+    the per-root counts. Returns ``(url, ball, h_num)``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -267,57 +222,10 @@ def neighborhood_function(links: ray.data.Dataset, *, radius: int = 3,
         lcm = int(np.lcm.reduce(np.arange(1, radius + 1))) \
             if radius else 1
     nb = num_buckets
-    from .exchange import _chunked, _split_hash, hash_bucket_apply
-
-    keyed = _keyed_edges(links, nb, src_col, dst_col).materialize()
-    refs = keyed.to_arrow_refs()
-    splits = [_split_hash.options(num_returns=nb).remote(
-        "bucket", nb, *g) for g in _chunked(refs)]
-    if nb == 1:
-        splits = [[s] for s in splits]
-    edges_b = [_nf_edges.remote(*[sp[b] for sp in splits])
-               for b in range(nb)]
-
-    from .links import _lr_emit_nodes
-
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    inits = [_nf_init.options(num_returns=1 + nb).remote(
-        nb, *[ns[b] for ns in node_slices]) for b in range(nb)]
-    front_parts = [[inits[b][0]] for b in range(nb)]
-    vis_b = [_nf_concat.remote(*[inits[b][1 + p] for b in range(nb)])
-             for p in range(nb)]
-
-    for d in range(1, radius + 1):
-        cands = [_nf_expand.options(num_returns=nb).remote(
-            nb, edges_b[b], *front_parts[b]) for b in range(nb)]
-        if nb == 1:
-            cands = [[c] for c in cands]
-        gathers = [_nf_gather.options(num_returns=1 + nb).remote(
-            d, nb, vis_b[p], *[cands[b][p] for b in range(nb)])
-            for p in range(nb)]
-        vis_b = [gathers[p][0] for p in range(nb)]
-        front_parts = [[gathers[p][1 + b] for p in range(nb)]
-                       for b in range(nb)]
-
-    partials = [_nf_partial.remote(lcm, nb, v) for v in vis_b]
-    ds = ray.data.from_arrow_refs(partials)
-
-    def merge(tbl: pa.Table) -> pa.Table:
-        sch = pa.schema([("url", pa.string()), ("ball", pa.int64()),
-                         ("h_num", pa.int64())])
-        if tbl.num_rows == 0:
-            return sch.empty_table()
-        import polars as pl
-
-        return (pl.from_arrow(tbl.select(["url", "ball", "h_num"]))
-                .group_by("url")
-                .agg([pl.col("ball").sum(), pl.col("h_num").sum()])
-                .to_arrow().cast(sch))
-
-    return hash_bucket_apply(ds, "_b", merge, num_buckets=nb)
+    vis_b = _ball_pairs(links, nb, radius, src_col, dst_col)
+    return ray.data.from_arrow_refs(gather(
+        partial(_sum_by, "url"),
+        inbox=scatter(partial(_nf_partial, lcm), vis_b)))
 
 
 # --------------------------------------------------------------------------
@@ -364,91 +272,70 @@ def _hll_estimate(regs: np.ndarray) -> np.ndarray:
     return np.floor(est).astype(np.int64)
 
 
-@ray.remote
-def _hb_init(p: int, *node_slices: pa.Table):
-    import pyarrow.compute as pc
-
-    arrs = [t["url"].combine_chunks() for t in node_slices
-            if t.num_rows]
-    if not arrs:
-        return pa.table({"url": pa.array([], pa.string())}), \
-            np.zeros((0, 1 << p), np.uint8)
-    u = pc.unique(pa.concat_arrays(arrs)).cast(pa.string())
-    un = u.to_numpy(zero_copy_only=False)
-    order = np.argsort(un)
-    u = u.take(pa.array(order))
-    return pa.table({"url": u}), _hll_init_registers(u, p)
+def _regs(t: pa.Table) -> np.ndarray:
+    """A table's ``regs`` column (fixed-size binary, one 2^p-byte
+    counter per row) as an (n, 2^p) uint8 matrix."""
+    a = t["regs"].combine_chunks()
+    m = a.type.byte_width
+    if len(a) == 0:
+        return np.zeros((0, m), np.uint8)
+    return np.frombuffer(a.buffers()[1], np.uint8, count=len(a) * m,
+                         offset=a.offset * m).reshape(len(a), m)
 
 
-@ray.remote
-def _hb_scatter(nb: int, edges: pa.Table, state_urls: pa.Table,
-                regs: np.ndarray):
+def _with_regs(urls, regs: np.ndarray) -> pa.Table:
+    m = regs.shape[1]
+    return pa.table({"url": urls, "regs": pa.FixedSizeBinaryArray
+                     .from_buffers(pa.binary(m), len(regs),
+                                   [None, pa.py_buffer(
+                                       np.ascontiguousarray(regs))])})
+
+
+def _hb_init(p: int, url: pa.Array, outdeg: np.ndarray) -> pa.Table:
+    return _with_regs(url, _hll_init_registers(url, p))
+
+
+def _hb_scatter(nb: int, edges: pa.Table, state: pa.Table) -> list:
     """Counters flow dst -> src (v's ball absorbs its out-neighbors'
     balls), so edges are cached keyed by DST (the sender side): this
     task looks up the LOCAL dst-nodes' registers per edge, max-merges
     them per src receiver in-task (the combiner), and routes one row
     per receiver to the receiver's bucket."""
-    urls = state_urls["url"].combine_chunks() \
-        .to_numpy(zero_copy_only=False)
-    if edges.num_rows == 0 or len(urls) == 0:
-        empty = pa.table({"url": pa.array([], pa.string())})
-        out = [(empty, np.zeros((0, regs.shape[1]), np.uint8))] * nb
-        return out[0] if nb == 1 else tuple(out)
+    urls = state["url"].to_numpy(zero_copy_only=False)
+    regs = _regs(state)
     e_dst = edges["dst"].combine_chunks().to_numpy(zero_copy_only=False)
-    e_src = edges["src"].combine_chunks()
-    idx = np.searchsorted(urls, e_dst)
-    idx_c = np.minimum(idx, len(urls) - 1)
-    ok = urls[idx_c] == e_dst
-    if not ok.any():
-        empty = pa.table({"url": pa.array([], pa.string())})
-        out = [(empty, np.zeros((0, regs.shape[1]), np.uint8))] * nb
-        return out[0] if nb == 1 else tuple(out)
-    src = e_src.filter(pa.array(ok))
-    payload = regs[idx_c[ok]]
+    idx = np.minimum(np.searchsorted(urls, e_dst), max(len(urls) - 1, 0))
+    ok = (urls[idx] == e_dst) if len(urls) else np.zeros(len(e_dst), bool)
+    sn = edges["src"].combine_chunks().filter(pa.array(ok)) \
+        .to_numpy(zero_copy_only=False)
+    payload = regs[idx[ok]]
     # pre-merge per receiver within the task (combiner): one row per src
-    sn = src.to_numpy(zero_copy_only=False)
     order = np.argsort(sn, kind="stable")
     sn, payload = sn[order], payload[order]
     first = np.ones(len(sn), bool)
     first[1:] = sn[1:] != sn[:-1]
     st = np.flatnonzero(first)
-    merged = np.maximum.reduceat(payload, st, axis=0)
-    recv = pa.array(sn[st], pa.string())
-    hb = (hash64_batch(recv) % np.uint64(nb)).astype(np.int64)
-    out = []
-    for b in range(nb):
-        sel = hb == b
-        out.append((pa.table({"url": recv.filter(pa.array(sel))}),
-                    merged[sel]))
-    return out[0] if nb == 1 else tuple(out)
+    merged = (np.maximum.reduceat(payload, st, axis=0) if len(st)
+              else payload)
+    msg = _with_regs(pa.array(sn[st], pa.string()), merged)
+    return split_by_hash(msg, "url", nb)
 
 
-@ray.remote
-def _hb_gather(state_urls: pa.Table, regs: np.ndarray, *msgs):
+def _hb_gather(state: pa.Table, msgs: list) -> pa.Table:
     """Max-merge incoming register rows into this bucket's state."""
-    urls = state_urls["url"].combine_chunks() \
-        .to_numpy(zero_copy_only=False)
-    out = regs.copy()
-    if len(urls) == 0:
-        return state_urls, out
-    for m_urls, m_regs in msgs:
-        if m_regs.shape[0] == 0:
-            continue
-        mu = m_urls["url"].combine_chunks() \
-            .to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(urls, mu)
-        idx_c = np.minimum(idx, len(urls) - 1)
-        ok = urls[idx_c] == mu
-        if np.any(ok):
-            np.maximum.at(out, idx_c[ok], m_regs[ok])
-    return state_urls, out
+    m = concat(msgs)
+    out = _regs(state).copy()
+    if m.num_rows:
+        urls = state["url"].to_numpy(zero_copy_only=False)
+        idx = np.searchsorted(urls, m["url"].to_numpy(zero_copy_only=False))
+        np.maximum.at(out, idx, _regs(m))
+    return _with_regs(state["url"], out)
 
 
-@ray.remote
-def _hb_final(state_urls: pa.Table, regs: np.ndarray) -> pa.Table:
+def _hb_final(state: pa.Table) -> pa.Table:
     return pa.table({
-        "url": state_urls["url"].combine_chunks().cast(pa.string()),
-        "ball_est": pa.array(_hll_estimate(regs), pa.int64())})
+        "url": state["url"],
+        "ball_est": pa.array(_hll_estimate(_regs(state)), pa.int64())})
 
 
 def hyperball(links: ray.data.Dataset, *, radius: int = 3, p: int = 9,
@@ -465,98 +352,35 @@ def hyperball(links: ray.data.Dataset, *, radius: int = 3, p: int = 9,
     estimate is bit-stable run to run (rows-only catalog entry; the
     exact twin is the oracle, the accuracy bound is pytest-checked).
 
+    Dataflow: edges cached per dst bucket ONCE; the state is one
+    ``(url, regs)`` table per bucket, the registers a fixed-size
+    binary column, so a round is one ``superstep`` whose messages are
+    ordinary (url, regs) tables.
+
     Returns ``(url, ball_est)`` with ``ball_est = floor(HLL estimate)``.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if not 4 <= p <= 14:
         raise ValueError("p must be in [4, 14]")
-    nb = num_buckets
-    from .exchange import _chunked, _split_hash
-    from .links import _lr_emit_nodes
-
     # edges cached keyed by DST (the sender side: dst's registers flow
-    # to src), sorted by dst for the searchsorted probe
-    def key(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].cast(pa.string())
-        d = batch[dst_col].cast(pa.string())
-        h = hash64_batch(d.combine_chunks())
-        return pa.table({
-            "bucket": pa.array((h % np.uint64(nb)).astype(np.int64),
-                               pa.int64()),
-            "src": s, "dst": d})
-
-    keyed = links.map_batches(key, batch_format="pyarrow",
-                              batch_size=None).materialize()
-    refs = keyed.to_arrow_refs()
-    splits = [_split_hash.options(num_returns=nb).remote(
-        "bucket", nb, *g) for g in _chunked(refs)]
-    if nb == 1:
-        splits = [[s] for s in splits]
-    edges_b = [_hb_edges.remote(*[sp[b] for sp in splits])
-               for b in range(nb)]
-
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    state_b = [_hb_init.options(num_returns=2).remote(
-        p, *[ns[b] for ns in node_slices]) for b in range(nb)]
-    state_b = [(s[0], s[1]) for s in state_b]
-
+    # to src)
+    edges_b = _edge_buckets(links, num_buckets, src_col, dst_col, "dst")
+    state_b = vertices(edges_b, partial(_hb_init, p))
     for _ in range(radius):
-        msgs = [_hb_scatter.options(num_returns=nb).remote(
-            nb, edges_b[b], state_b[b][0], state_b[b][1])
-            for b in range(nb)]
-        if nb == 1:
-            msgs = [[m] for m in msgs]
-        new_state = [_hb_gather.options(num_returns=2).remote(
-            state_b[b][0], state_b[b][1],
-            *[msgs[q][b] for q in range(nb)]) for b in range(nb)]
-        state_b = [(s[0], s[1]) for s in new_state]
-
-    return ray.data.from_arrow_refs(
-        [_hb_final.remote(s[0], s[1]) for s in state_b])
+        state_b = superstep(edges_b, state_b, _hb_scatter, _hb_gather)
+    return ray.data.from_arrow_refs(gather(_hb_final, state_b))
 
 
-@ray.remote
-def _hb_edges(*tbls: pa.Table) -> pa.Table:
-    """One dst-bucket's edge slices -> distinct (src, dst) sorted by
-    dst (the probe key)."""
-    live = [t for t in tbls if t.num_rows]
-    if not live:
-        return pa.table({"src": pa.array([], pa.string()),
-                         "dst": pa.array([], pa.string())})
-    import polars as pl
-
-    t = pa.concat_tables(live, promote_options="permissive")
-    df = pl.from_arrow(t.select(["src", "dst"])).unique() \
-        .sort(["dst", "src"])
-    return df.to_arrow().cast(pa.schema([("src", pa.string()),
-                                         ("dst", pa.string())]))
-
-
-@ray.remote
-def _nf_concat(*tbls: pa.Table) -> pa.Table:
-    live = [t for t in tbls if t.num_rows]
-    if not live:
-        return _EMPTY_VIS
-    return pa.concat_tables(live, promote_options="permissive")
-
-
-@ray.remote
-def _dd_partial(nb: int, vis: pa.Table) -> pa.Table:
-    """One pair-bucket's visited rows -> (dist, n) partial counts."""
-    sch = pa.schema([("d", pa.int64()), ("n_pairs", pa.int64()),
-                     ("_b", pa.int64())])
-    if vis.num_rows == 0:
-        return sch.empty_table()
-    dist = vis["dist"].to_numpy(zero_copy_only=False)
-    vals, cnt = np.unique(dist, return_counts=True)
-    return pa.table({
-        "d": pa.array(vals.astype(np.int64), pa.int64()),
-        "n_pairs": pa.array(cnt.astype(np.int64), pa.int64()),
-        "_b": pa.array(vals.astype(np.int64) % nb, pa.int64())})
+def _dd_partial(nb: int, vis: pa.Table) -> list:
+    """One pair-bucket's visited rows -> (dist, n) partial counts,
+    routed by dist."""
+    vals, cnt = np.unique(vis["dist"].to_numpy(zero_copy_only=False),
+                          return_counts=True)
+    vals = vals.astype(np.int64)
+    t = pa.table({"d": pa.array(vals, pa.int64()),
+                  "n_pairs": pa.array(cnt.astype(np.int64), pa.int64())})
+    return split_by_code(t, vals % nb, nb)
 
 
 def distance_distribution(links: ray.data.Dataset, *, radius: int = 3,
@@ -568,58 +392,15 @@ def distance_distribution(links: ray.data.Dataset, *, radius: int = 3,
     radius — the neighborhood function N(d) = |{(u,v) : dist(u,v) =
     d}| that HyperANF estimates (Boldi, Rosa & Vigna, WWW 2011), the
     basis of effective-diameter and spid reports. Shares the
-    bucket-cached BFS dataflow of :func:`neighborhood_function`;
-    the reduction to one row per distance is two tiny folds.
+    bucket-cached BFS dataflow of :func:`neighborhood_function`
+    (``_ball_pairs``); the reduction to one row per distance is one
+    dist-keyed scatter/gather fold.
     Returns ``(d, n_pairs)`` with d = 0..radius (d=0 rows = nodes)."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    nb = num_buckets
-    from .exchange import _chunked, _split_hash, hash_bucket_apply
-    from .links import _lr_emit_nodes
-
-    keyed = _keyed_edges(links, nb, src_col, dst_col).materialize()
-    refs = keyed.to_arrow_refs()
-    splits = [_split_hash.options(num_returns=nb).remote(
-        "bucket", nb, *g) for g in _chunked(refs)]
-    if nb == 1:
-        splits = [[s] for s in splits]
-    edges_b = [_nf_edges.remote(*[sp[b] for sp in splits])
-               for b in range(nb)]
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    inits = [_nf_init.options(num_returns=1 + nb).remote(
-        nb, *[ns[b] for ns in node_slices]) for b in range(nb)]
-    front_parts = [[inits[b][0]] for b in range(nb)]
-    vis_b = [_nf_concat.remote(*[inits[b][1 + p] for b in range(nb)])
-             for p in range(nb)]
-    for d in range(1, radius + 1):
-        cands = [_nf_expand.options(num_returns=nb).remote(
-            nb, edges_b[b], *front_parts[b]) for b in range(nb)]
-        if nb == 1:
-            cands = [[c] for c in cands]
-        gathers = [_nf_gather.options(num_returns=1 + nb).remote(
-            d, nb, vis_b[p], *[cands[b][p] for b in range(nb)])
-            for p in range(nb)]
-        vis_b = [gathers[p][0] for p in range(nb)]
-        front_parts = [[gathers[p][1 + b] for p in range(nb)]
-                       for b in range(nb)]
-
-    ds = ray.data.from_arrow_refs(
-        [_dd_partial.remote(nb, v) for v in vis_b])
-
-    def merge(tbl: pa.Table) -> pa.Table:
-        sch = pa.schema([("d", pa.int64()), ("n_pairs", pa.int64())])
-        if tbl.num_rows == 0:
-            return sch.empty_table()
-        import polars as pl
-
-        return (pl.from_arrow(tbl.select(["d", "n_pairs"]))
-                .group_by("d").agg(pl.col("n_pairs").sum())
-                .to_arrow().cast(sch))
-
-    return hash_bucket_apply(ds, "_b", merge, num_buckets=nb)
+    vis_b = _ball_pairs(links, num_buckets, radius, src_col, dst_col)
+    return ray.data.from_arrow_refs(gather(
+        partial(_sum_by, "d"), inbox=scatter(_dd_partial, vis_b)))
 
 
 def graph_report(links: ray.data.Dataset, *, radius: int = 3,
@@ -676,81 +457,36 @@ def graph_report(links: ray.data.Dataset, *, radius: int = 3,
                                          batch_size=None)
 
 
-@ray.remote
-def _gc_rekey(nb: int, vis: pa.Table):
-    """Re-route one pair-bucket's (root, node) rows by NODE hash (the
-    covered-flag co-location key for greedy cover)."""
-    sch = pa.schema([("root", pa.string()), ("node", pa.string())])
-    if vis.num_rows == 0:
-        out = [sch.empty_table()] * nb
-        return out[0] if nb == 1 else tuple(out)
-    t = vis.select(["root", "node"])
-    h = (hash64_batch(t["node"].combine_chunks())
-         % np.uint64(nb)).astype(np.int64)
-    order = np.argsort(h, kind="stable")
-    t = t.take(pa.array(order))
-    bounds = np.searchsorted(h[order], np.arange(nb + 1))
-    out = [t.slice(bounds[p], bounds[p + 1] - bounds[p])
-           for p in range(nb)]
-    return out[0] if nb == 1 else tuple(out)
+def _gc_init(parts: list) -> pa.Table:
+    """One node-bucket's ball pairs + an all-False covered flag."""
+    t = concat(parts)
+    return pa.table({"root": t["root"], "node": t["node"],
+                     "covered": pa.array(np.zeros(t.num_rows, bool))})
 
 
-@ray.remote
-def _gc_init(*parts: pa.Table):
-    """One node-bucket: (pairs sorted by node, distinct node array,
-    all-False covered flags)."""
-    sch = pa.schema([("root", pa.string()), ("node", pa.string())])
-    live = [t for t in parts if t.num_rows]
-    if not live:
-        return sch.empty_table(), np.zeros(0, object), \
-            np.zeros(0, bool)
-    import polars as pl
-
-    t = pa.concat_tables(live, promote_options="permissive")
-    df = pl.from_arrow(t).sort(["node", "root"])
-    t = df.to_arrow().cast(sch)
-    nodes = np.unique(t["node"].combine_chunks()
-                      .to_numpy(zero_copy_only=False).astype(str))
-    return t, nodes, np.zeros(len(nodes), bool)
-
-
-@ray.remote
-def _gc_count(pairs: pa.Table, nodes: np.ndarray, covered: np.ndarray):
-    """Per-root count of UNCOVERED nodes in this bucket -> one best
-    candidate (count desc, root asc) plus the full partial table is
-    unnecessary — counts fold per bucket, the driver reduces nb
-    candidates... but a root's ball spans buckets, so partials must
-    fold ACROSS buckets first: return (root, cnt) partials."""
-    sch = pa.schema([("root", pa.string()), ("cnt", pa.int64())])
-    if pairs.num_rows == 0:
-        return sch.empty_table()
-    node = pairs["node"].combine_chunks() \
-        .to_numpy(zero_copy_only=False).astype(str)
-    root = pairs["root"].combine_chunks() \
-        .to_numpy(zero_copy_only=False).astype(str)
-    idx = np.searchsorted(nodes, node)
-    unc = ~covered[idx]
-    if not unc.any():
-        return sch.empty_table()
-    r = root[unc]
-    order = np.argsort(r, kind="stable")
-    r = r[order]
+def _gc_count(nb: int, pairs: pa.Table) -> list:
+    """Per-root count of this bucket's UNCOVERED nodes, routed by root
+    (a root's ball spans buckets, so the counts fold across buckets
+    before the best is picked)."""
+    unc = ~pairs["covered"].to_numpy(zero_copy_only=False)
+    r = pairs["root"].combine_chunks().to_numpy(zero_copy_only=False) \
+        .astype(str)[unc]
+    r = r[np.argsort(r, kind="stable")]
     first = np.ones(len(r), bool)
     first[1:] = r[1:] != r[:-1]
     st = np.flatnonzero(first)
     cnt = np.diff(np.r_[st, len(r)]).astype(np.int64)
-    return pa.table({"root": pa.array(r[st], pa.string()),
-                     "cnt": pa.array(cnt, pa.int64())})
+    t = pa.table({"root": pa.array(r[st], pa.string()),
+                  "cnt": pa.array(cnt, pa.int64())})
+    return split_by_hash(t, "root", nb)
 
 
-@ray.remote
-def _gc_best(*parts: pa.Table):
+def _gc_best(parts: list):
     """Fold (root, cnt) partials of one root-bucket -> its best
     candidate (cnt desc, root asc)."""
-    live = [t for t in parts if t.num_rows]
-    if not live:
+    t = concat(parts)
+    if not t.num_rows:
         return None
-    t = pa.concat_tables(live, promote_options="permissive")
     r = t["root"].combine_chunks().to_numpy(zero_copy_only=False) \
         .astype(str)
     c = t["cnt"].to_numpy(zero_copy_only=False)
@@ -764,22 +500,14 @@ def _gc_best(*parts: pa.Table):
     return int(-cand[0]), cand[1]
 
 
-@ray.remote
-def _gc_mark(winner: str, pairs: pa.Table, nodes: np.ndarray,
-             covered: np.ndarray) -> np.ndarray:
+def _gc_mark(winner: str, pairs: pa.Table) -> pa.Table:
     """Mark the winner's ball nodes covered in this bucket."""
-    if pairs.num_rows == 0:
-        return covered
-    root = pairs["root"].combine_chunks() \
-        .to_numpy(zero_copy_only=False).astype(str)
-    sel = root == winner
-    if not sel.any():
-        return covered
-    node = pairs["node"].combine_chunks() \
-        .to_numpy(zero_copy_only=False).astype(str)[sel]
-    out = covered.copy()
-    out[np.searchsorted(nodes, np.unique(node))] = True
-    return out
+    import pyarrow.compute as pc
+
+    ball = pairs.filter(pc.equal(pairs["root"], winner))["node"]
+    covered = pc.or_(pairs["covered"],
+                     pc.is_in(pairs["node"], value_set=ball.combine_chunks()))
+    return pairs.set_column(2, "covered", covered)
 
 
 def greedy_seed_cover(links: ray.data.Dataset, *, k: int = 3,
@@ -793,77 +521,23 @@ def greedy_seed_cover(links: ray.data.Dataset, *, k: int = 3,
     small seed list that still reaches most of a web graph. Rounds
     with zero marginal gain stop early.
 
-    Dataflow: the exact ball pair stream (the neighborhood_function
-    BFS over bucket-cached edges) is re-keyed ONCE by node so covered
-    flags co-locate; each greedy round is one uncovered-count scatter
-    + one per-root fold; the driver holds only the current winner and
-    its gain. Returns ``(rank, seed, gain)``.
+    Dataflow: the exact ball pair stream (``_ball_pairs``, the
+    neighborhood_function BFS over bucket-cached edges) is re-keyed
+    ONCE by node so each node's covered flag sits with all of its
+    pairs; each greedy round is one uncovered-count scatter + one
+    per-root fold; the driver holds only the current winner and its
+    gain. Returns ``(rank, seed, gain)``.
 
     Oracle: the recursive-CTE walk with ``k`` greedy rounds unrolled
     in SQL (NOT-IN against the accumulated cover)."""
     if k < 0 or radius < 0:
         raise ValueError("k and radius must be >= 0")
-    nb = num_buckets
-    from .exchange import _chunked, _split_hash
-    from .links import _lr_emit_nodes
-
-    keyed = _keyed_edges(links, nb, src_col, dst_col).materialize()
-    if keyed.count() == 0:
-        return ray.data.from_arrow(pa.table({
-            "rank": pa.array([], pa.int64()),
-            "seed": pa.array([], pa.string()),
-            "gain": pa.array([], pa.int64())}))
-    refs = keyed.to_arrow_refs()
-    splits = [_split_hash.options(num_returns=nb).remote(
-        "bucket", nb, *g) for g in _chunked(refs)]
-    if nb == 1:
-        splits = [[s] for s in splits]
-    edges_b = [_nf_edges.remote(*[sp[b] for sp in splits])
-               for b in range(nb)]
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    inits = [_nf_init.options(num_returns=1 + nb).remote(
-        nb, *[ns[b] for ns in node_slices]) for b in range(nb)]
-    front_parts = [[inits[b][0]] for b in range(nb)]
-    vis_b = [_nf_concat.remote(*[inits[b][1 + p] for b in range(nb)])
-             for p in range(nb)]
-    for d in range(1, radius + 1):
-        cands = [_nf_expand.options(num_returns=nb).remote(
-            nb, edges_b[b], *front_parts[b]) for b in range(nb)]
-        if nb == 1:
-            cands = [[c] for c in cands]
-        gathers = [_nf_gather.options(num_returns=1 + nb).remote(
-            d, nb, vis_b[p], *[cands[b][p] for b in range(nb)])
-            for p in range(nb)]
-        vis_b = [gathers[p][0] for p in range(nb)]
-        front_parts = [[gathers[p][1 + b] for p in range(nb)]
-                       for b in range(nb)]
-
-    rekeyed = [_gc_rekey.options(num_returns=nb).remote(nb, v)
-               for v in vis_b]
-    if nb == 1:
-        rekeyed = [[r] for r in rekeyed]
-    states = [_gc_init.options(num_returns=3).remote(
-        *[rekeyed[q][p] for q in range(nb)]) for p in range(nb)]
-    pairs_b = [s[0] for s in states]
-    nodes_b = [s[1] for s in states]
-    cov_b = [s[2] for s in states]
-
+    vis_b = _ball_pairs(links, num_buckets, radius, src_col, dst_col)
+    pairs_b = gather(_gc_init, inbox=rehash(vis_b, "node"))
     ranks, seeds, gains = [], [], []
     for rank in range(1, k + 1):
-        parts = [_gc_count.remote(pairs_b[p], nodes_b[p], cov_b[p])
-                 for p in range(nb)]
-        # fold partials per root: slice each partial by root hash
-        sl = [_gc_rekey_root.options(num_returns=nb).remote(nb, t)
-              for t in parts]
-        if nb == 1:
-            sl = [[s] for s in sl]
-        bests = ray.get([_gc_best.remote(*[sl[q][p]
-                                           for q in range(nb)])
-                         for p in range(nb)])
-        bests = [x for x in bests if x is not None]
+        bests = [x for x in ray.get(gather(
+            _gc_best, inbox=scatter(_gc_count, pairs_b))) if x is not None]
         if not bests:
             break
         gain, winner = sorted(((-c, r) for c, r in bests))[0]
@@ -873,26 +547,8 @@ def greedy_seed_cover(links: ray.data.Dataset, *, k: int = 3,
         ranks.append(rank)
         seeds.append(winner)
         gains.append(gain)
-        cov_b = [_gc_mark.remote(winner, pairs_b[p], nodes_b[p],
-                                 cov_b[p]) for p in range(nb)]
+        pairs_b = gather(partial(_gc_mark, winner), pairs_b)
     return ray.data.from_arrow(pa.table({
         "rank": pa.array(ranks, pa.int64()),
         "seed": pa.array(seeds, pa.string()),
         "gain": pa.array(gains, pa.int64())}))
-
-
-@ray.remote
-def _gc_rekey_root(nb: int, t: pa.Table):
-    """Slice a (root, cnt) partial table by root hash."""
-    sch = pa.schema([("root", pa.string()), ("cnt", pa.int64())])
-    if t.num_rows == 0:
-        out = [sch.empty_table()] * nb
-        return out[0] if nb == 1 else tuple(out)
-    h = (hash64_batch(t["root"].combine_chunks())
-         % np.uint64(nb)).astype(np.int64)
-    order = np.argsort(h, kind="stable")
-    t = t.take(pa.array(order))
-    bounds = np.searchsorted(h[order], np.arange(nb + 1))
-    out = [t.slice(bounds[p], bounds[p + 1] - bounds[p])
-           for p in range(nb)]
-    return out[0] if nb == 1 else tuple(out)

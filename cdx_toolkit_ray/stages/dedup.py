@@ -32,6 +32,9 @@ _WORD_RE = re.compile(r"\w+", re.UNICODE)
 # fixed 64-bit mixing constants (splitmix64 finalizer)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+#: golden-ratio multiplier that combines two hashes before a mix:
+#: ``_mix64(a * _PHI ^ b)``
+_PHI = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -699,7 +702,7 @@ def _distinct_pairs(pairs: ray.data.Dataset,
     def add_bucket(batch: pa.Table) -> pa.Table:
         a = batch["id_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
         b = batch["id_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        hb = _mix64(a * np.uint64(0x9E3779B97F4A7C15) ^ b)
+        hb = _mix64(a * _PHI ^ b)
         return batch.append_column(
             "pair_bucket",
             pa.array((hb % np.uint64(num_buckets)).astype(np.int64)))
@@ -836,7 +839,7 @@ def minhash_dedup_pairs(ds: ray.data.Dataset, text_col: str = "text",
     def membership(batch: pa.Table) -> pa.Table:
         a = batch["id_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = batch["id_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        pid = _mix64(a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        pid = _mix64(a.astype(np.uint64) * _PHI
                      ^ b.astype(np.uint64)).view(np.int64)
         return pa.table({
             "member_id": pa.array(np.concatenate([a, b]), pa.int64()),
@@ -971,11 +974,6 @@ def _word_shingle_set(text: str, k: int) -> set:
     return {" ".join(words[i:i + k]) for i in range(len(words) - k + 1)}
 
 
-#: doc-id -> bucket mixer for the size-attach exchanges (golden-ratio
-#: splitmix step; sequential ids would otherwise stripe predictably)
-_DOC_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
 def shared_key_pairs_with_sizes(kd: ray.data.Dataset, *, key_col: str,
                                 bucket_col: str, num_buckets: int,
                                 min_shared: int, max_docs_per_key: int,
@@ -1049,7 +1047,7 @@ def shared_key_pairs_with_sizes(kd: ray.data.Dataset, *, key_col: str,
             return np.full(n, -1, np.int64)
 
         def doc_bucket(vals):
-            return ((np.asarray(vals).astype(np.uint64) * _DOC_MIX)
+            return ((np.asarray(vals).astype(np.uint64) * _PHI)
                     % nbu).astype(np.int64)
 
     def merge_keys(tbl: pa.Table) -> pa.Table:
@@ -1423,7 +1421,7 @@ def simhash_hamming_pairs(ds: ray.data.Dataset, *,
         bid = np.concatenate(bid)
         bval = np.concatenate(bval)
         # block identity (block_id, block_val) -> one bucket
-        bkey = _mix64(bval * np.uint64(0x9E3779B97F4A7C15)
+        bkey = _mix64(bval * _PHI
                       + bid.astype(np.uint64))
         return pa.table({
             "block_id": pa.array(bid, pa.int32()),
@@ -1475,7 +1473,7 @@ def simhash_hamming_pairs(ds: ray.data.Dataset, *,
         a = np.concatenate(a_all)
         b = np.concatenate(b_all)
         hb = _mix64(a.astype(np.uint64)
-                    * np.uint64(0x9E3779B97F4A7C15)
+                    * _PHI
                     ^ b.astype(np.uint64))
         return pa.table({
             "id_a": pa.array(a, pa.int64()),
@@ -1664,7 +1662,7 @@ def minhash_lsh_eval(ds: ray.data.Dataset, text_col: str = "text",
             return sch.empty_table()
         ia = np.concatenate(ia_parts)
         ib = np.concatenate(ib_parts)
-        key = _mix64(ia.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        key = _mix64(ia.astype(np.uint64) * _PHI
                      ^ ib.astype(np.uint64))
         # fold this bucket's pair counts before the exchange
         order2 = np.lexsort((ib, ia))

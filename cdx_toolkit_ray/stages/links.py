@@ -28,11 +28,19 @@ are reused across hops; per-hop traffic is the frontier (two narrow
 columns) plus one emitted dst slice per bucket. Skewed in-degree is
 bounded by the per-bucket ``unique`` before emission: a URL linked
 from D pages costs its bucket O(D) input rows but emits one row.
+
+The iterative link-graph scores (``link_rank``, ``trust_rank``,
+``hits``, ``opic``, ``kcore_peel``) are supersteps of the one
+``stages/exchange.py`` primitive: ``partition`` caches the edges per
+hash bucket once, ``vertices`` builds the per-bucket node state, and
+each iteration is one ``superstep`` of a small scatter/gather kernel
+pair defined here.
 """
 
 from __future__ import annotations
 
 import logging
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -41,7 +49,9 @@ import ray.data
 
 from ..canon import hash64_batch
 from ..state.seen import ShardedSeenSet, SeenFilterStage
-from .exchange import hash_bucket_apply
+from .exchange import (concat, distinct, fan_out, gather,
+                       hash_bucket_apply, partition, split_by_hash,
+                       superstep, vertices)
 
 LOGGER = logging.getLogger(__name__)
 
@@ -162,6 +172,10 @@ def _expand_bucket(tbl: pa.Table) -> pa.Table:
     return pa.table({"url": dst.cast(pa.string())})
 
 
+#: link rows -> the (src, dst) edge columns of the graph supersteps
+_SRC_DST = (("src", "src_url"), ("dst", "dst_url"))
+
+
 def link_rank(links: ray.data.Dataset, *, iterations: int = 3,
               num_buckets: int = 32, scale: int = 1_000_000,
               damping_num: int = 85, damping_den: int = 100
@@ -182,158 +196,101 @@ def link_rank(links: ray.data.Dataset, *, iterations: int = 3,
     reduction-order hazard. Dangling nodes (no outlinks) keep their
     mass, the standard simplification.
 
-    Dataflow (the partitioned-cached PageRank shape): the edge table is
-    shuffled by ``hash64(src) % num_buckets`` ONCE and each bucket's
-    slice stays in the object store for every iteration — re-splitting
-    the (dominant) edge stream per iteration would cost an extra full
-    shuffle each round. An iteration is then two direct task rounds:
-    scatter (bucket b's rank rows + its cached out-edges -> per-edge
-    contributions + a zero stub per node, pre-split by the receiving
-    url's bucket) and gather (integer sum + base per url). Rank state
-    lives bucket-aligned in the object store; the driver holds refs
-    only. Per-iteration traffic is the narrow (url, int64) contribution
-    stream — never the edges.
+    Dataflow (the partitioned-cached PageRank shape, on the
+    ``exchange`` primitive): ``partition`` shuffles the edge table by
+    ``hash64(src) % num_buckets`` ONCE and each bucket's table stays in
+    the object store for every iteration — re-splitting the (dominant)
+    edge stream per iteration would cost an extra full shuffle each
+    round. ``vertices`` puts each node's (url, rank, teleport, outdeg)
+    state row in its own hash bucket, so a src's state row and all of
+    its out-edges share a bucket. An iteration is one ``superstep``:
+    scatter (per-edge contribution, split by the receiving url's
+    bucket) and gather (teleport + integer sum per url). The driver
+    holds refs only; per-iteration traffic is the narrow (url, int64)
+    contribution stream — never the edges.
     """
+    return _pagerank(links, "rank", _all_nodes, iterations, num_buckets,
+                     scale, damping_num, damping_den)
+
+
+def _pagerank(links: ray.data.Dataset, col: str, is_seed,
+              iterations: int, nb: int, scale: int, damping_num: int,
+              damping_den: int) -> ray.data.Dataset:
+    """The link_rank / trust_rank loop over ``(url, col)``: rank and
+    teleport mass start on the nodes ``is_seed`` selects."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    nb = num_buckets
     base = (scale * (damping_den - damping_num)) // damping_den
-    nbu = np.uint64(nb)
-
-    def key_edges(batch: pa.Table) -> pa.Table:
-        src = batch["src_url"].cast(pa.string())
-        h = hash64_batch(src)
-        return pa.table({
-            "bucket": pa.array((h % nbu).astype(np.int64), pa.int64()),
-            "src": src,
-            "dst": batch["dst_url"].cast(pa.string()),
-        })
-
-    from .exchange import _chunked, _split_hash
-
-    keyed = links.map_batches(key_edges, batch_format="pyarrow",
-                              batch_size=None).materialize()
-    refs = keyed.to_arrow_refs()
-    splits = [_split_hash.options(num_returns=nb).remote("bucket", nb, *g)
-              for g in _chunked(refs)]
-    if nb == 1:
-        splits = [[s] for s in splits]
-    edges_b = [_lr_concat.remote(*[sp[b] for sp in splits])
-               for b in range(nb)]
-
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    ranks_b = [_lr_init_ranks.remote(scale, *[ns[b] for ns in node_slices])
-               for b in range(nb)]
-
+    edges_b = partition(links, nb, "src", _SRC_DST)
+    state_b = vertices(edges_b,
+                       partial(_rank_init, col, scale, base, is_seed))
     for _ in range(iterations):
-        contrib = [_lr_scatter.options(num_returns=nb).remote(
-            nb, damping_num, damping_den, edges_b[b], ranks_b[b])
-            for b in range(nb)]
-        if nb == 1:
-            contrib = [[c] for c in contrib]
-        ranks_b = [_lr_gather.remote(base, *[cs[b] for cs in contrib])
-                   for b in range(nb)]
-    return ray.data.from_arrow_refs(ranks_b)
+        state_b = superstep(
+            edges_b, state_b,
+            partial(_rank_scatter, col, damping_num, damping_den),
+            partial(_rank_gather, col))
+    return ray.data.from_arrow_refs(
+        gather(partial(_select, ("url", col)), state_b))
 
 
-def _lr_bucket_slices(url: pa.Array, extra: np.ndarray | None,
-                      nb: int) -> list[pa.Table]:
-    """Split (url[, val]) rows into nb slices by hash64(url) % nb."""
-    h = (hash64_batch(url) % np.uint64(nb)).astype(np.int64)
-    cols = {"url": url.cast(pa.string())}
-    if extra is not None:
-        cols["val"] = pa.array(extra, pa.int64())
-    tbl = pa.table(cols)
-    order = np.argsort(h, kind="stable")
-    t = tbl.take(pa.array(order))
-    bounds = np.searchsorted(h[order], np.arange(nb + 1))
-    return [t.slice(bounds[p], bounds[p + 1] - bounds[p])
-            for p in range(nb)]
+def _select(cols, t: pa.Table) -> pa.Table:
+    return t.select(list(cols))
 
 
-@ray.remote
-def _lr_concat(*tbls: pa.Table) -> pa.Table:
-    return pa.concat_tables([t for t in tbls if t.num_rows]
-                            or [tbls[0]], promote_options="permissive")
+def _set(t: pa.Table, col: str, values: np.ndarray) -> pa.Table:
+    return t.set_column(t.schema.get_field_index(col), col,
+                        pa.array(values, pa.int64()))
 
 
-@ray.remote
-def _lr_emit_nodes(nb: int, edges: pa.Table):
-    """Route one edge bucket's endpoint urls to their own buckets."""
-    u = pa.concat_arrays([
-        edges["src"].combine_chunks().cast(pa.string()),
-        edges["dst"].combine_chunks().cast(pa.string())])
-    slices = _lr_bucket_slices(u, None, nb)
-    return slices[0] if nb == 1 else tuple(slices)
+def _urls(t: pa.Table, col: str = "url") -> np.ndarray:
+    return t[col].to_numpy(zero_copy_only=False)
 
 
-@ray.remote
-def _lr_init_ranks(scale: int, *tbls: pa.Table) -> pa.Table:
-    """Distinct urls of one bucket -> uniform initial rank."""
-    arrs = [t["url"].combine_chunks() for t in tbls if t.num_rows]
-    if not arrs:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "rank": pa.array([], pa.int64())})
-    u = pc.unique(pa.concat_arrays(arrs))
+def _sum_into(state: pa.Table, inbox: list) -> np.ndarray:
+    """Integer sum of one bucket's (url[, val]) messages per state row
+    (a message without ``val`` counts 1) — add.at, not bincount: float
+    weights would break the exact-arithmetic contract past 2^53."""
+    m = concat(inbox)
+    sums = np.zeros(state.num_rows, np.int64)
+    val = (m["val"].to_numpy(zero_copy_only=False)
+           if "val" in m.column_names else 1)
+    np.add.at(sums, np.searchsorted(_urls(state), _urls(m)), val)
+    return sums
+
+
+def _all_nodes(url: pa.Array) -> np.ndarray:
+    return np.ones(len(url), bool)
+
+
+def _rank_init(col: str, scale: int, base: int, is_seed, url: pa.Array,
+               outdeg: np.ndarray) -> pa.Table:
+    """Rank state: ``col`` = scale and teleport = base on seed nodes,
+    0 elsewhere (link_rank: every node is a seed)."""
+    seed = np.asarray(is_seed(url), bool)
     return pa.table({
-        "url": u.cast(pa.string()),
-        "rank": pa.array(np.full(len(u), scale, np.int64), pa.int64()),
-    })
+        "url": url,
+        col: pa.array(np.where(seed, scale, 0), pa.int64()),
+        "teleport": pa.array(np.where(seed, base, 0), pa.int64()),
+        "outdeg": pa.array(outdeg, pa.int64())})
 
 
-@ray.remote
-def _lr_scatter(nb: int, damping_num: int, damping_den: int,
-                edges: pa.Table, ranks: pa.Table):
-    """Bucket b's rank rows + cached out-edges -> (dst, contribution)
-    per edge + a zero stub per node, pre-split by receiver bucket.
-    Outdegree falls out per bucket (all of a src's edges are here)."""
-    r_url = ranks["url"].combine_chunks()
-    r_val = ranks["rank"].to_numpy(zero_copy_only=False)
-    out_url = [r_url]
-    out_val = [np.zeros(len(r_url), np.int64)]
-    if edges.num_rows and len(r_url):
-        ru = r_url.to_numpy(zero_copy_only=False)
-        order = np.argsort(ru)
-        sorted_urls = ru[order]
-        sorted_vals = r_val[order]
-        e_src = edges["src"].combine_chunks().to_numpy(
-            zero_copy_only=False)
-        idx = np.searchsorted(sorted_urls, e_src)
-        # every edge src has a rank row here (node set = src union dst,
-        # bucketed by the same hash)
-        deg = np.bincount(idx, minlength=len(sorted_vals))
-        contrib = ((sorted_vals[idx] // deg[idx])
-                   * damping_num) // damping_den
-        out_url.append(edges["dst"].combine_chunks())
-        out_val.append(contrib.astype(np.int64))
-    url = pa.concat_arrays([a.cast(pa.string()) for a in out_url])
-    slices = _lr_bucket_slices(url, np.concatenate(out_val), nb)
-    return slices[0] if nb == 1 else tuple(slices)
+def _rank_scatter(col: str, damping_num: int, damping_den: int, nb: int,
+                  edges: pa.Table, state: pa.Table) -> list:
+    """Each edge carries ``(col[src] DIV outdeg(src)) * damping_num DIV
+    damping_den`` to its dst (the src's state row is in this bucket)."""
+    idx = np.searchsorted(_urls(state), _urls(edges, "src"))
+    share = (state[col].to_numpy(zero_copy_only=False)[idx]
+             // state["outdeg"].to_numpy(zero_copy_only=False)[idx])
+    msg = pa.table({"url": edges["dst"],
+                    "val": pa.array(share * damping_num // damping_den,
+                                    pa.int64())})
+    return split_by_hash(msg, "url", nb)
 
 
-@ray.remote
-def _lr_gather(base: int, *tbls: pa.Table) -> pa.Table:
-    """rank = base + integer sum of one bucket's contributions
-    (add.at, not bincount — float weights would break the exact-
-    arithmetic contract past 2^53)."""
-    live = [t for t in tbls if t.num_rows]
-    if not live:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "rank": pa.array([], pa.int64())})
-    t = pa.concat_tables(live, promote_options="permissive")
-    url = t["url"].combine_chunks()
-    val = t["val"].to_numpy(zero_copy_only=False).astype(np.int64)
-    enc = url.dictionary_encode()
-    idx = enc.indices.to_numpy(zero_copy_only=False)
-    sums = np.zeros(len(enc.dictionary), np.int64)
-    np.add.at(sums, idx, val)
-    return pa.table({
-        "url": enc.dictionary.cast(pa.string()),
-        "rank": pa.array(sums + base, pa.int64()),
-    })
+def _rank_gather(col: str, state: pa.Table, inbox: list) -> pa.Table:
+    """``col`` = teleport + integer sum of the received contributions."""
+    return _set(state, col, _sum_into(state, inbox)
+                + state["teleport"].to_numpy(zero_copy_only=False))
 
 
 def hits(links: ray.data.Dataset, *, iterations: int = 2,
@@ -361,13 +318,13 @@ def hits(links: ray.data.Dataset, *, iterations: int = 2,
     the first step; pure sinks get hub 0 — the standard behavior.
 
     Dataflow (two bucket-cached edge copies, the link_rank shape):
-    the edge stream is keyed ONCE with both ``hash64(src) % B`` and
-    ``hash64(dst) % B``, split into a src-bucketed copy (serves the
-    a-update: every edge sits with its src's h row) and a dst-bucketed
-    copy (serves the h-update: every edge sits with its dst's a row).
-    An update is one scatter round (per-edge contribution + zero stub
-    per node, pre-split by the receiving url's bucket) + one integer
-    gather + an O(B)-scalar max fold on the driver + a per-bucket
+    ``partition`` splits the edge stream ONCE into a src-bucketed copy
+    (serves the a-update: every edge sits with its src's state row)
+    and a dst-bucketed copy (serves the h-update: every edge sits with
+    its dst's state row). One (url, authority, hub) state row per
+    node. An update is one ``superstep`` (per-edge contribution,
+    integer sum per receiver, plus each bucket's max as an extra
+    return) + an O(B)-scalar max fold on the driver + a per-bucket
     rescale. Per-iteration traffic is the narrow (url, int64)
     contribution stream — the edges never move again.
 
@@ -378,127 +335,57 @@ def hits(links: ray.data.Dataset, *, iterations: int = 2,
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    nb = num_buckets
-    nbu = np.uint64(nb)
-
-    def key_edges(batch: pa.Table) -> pa.Table:
-        src = batch["src_url"].cast(pa.string())
-        dst = batch["dst_url"].cast(pa.string())
-        return pa.table({
-            "bs": pa.array((hash64_batch(src) % nbu).astype(np.int64),
-                           pa.int64()),
-            "bd": pa.array((hash64_batch(dst) % nbu).astype(np.int64),
-                           pa.int64()),
-            "src": src,
-            "dst": dst,
-        })
-
-    from .exchange import _chunked, _split_hash
-
-    keyed = links.map_batches(key_edges, batch_format="pyarrow",
-                              batch_size=None).materialize()
-    refs = keyed.to_arrow_refs()
-
-    def split_by(col: str) -> list:
-        splits = [_split_hash.options(num_returns=nb).remote(col, nb, *g)
-                  for g in _chunked(refs)]
-        if nb == 1:
-            splits = [[s] for s in splits]
-        return [_lr_concat.remote(*[sp[b] for sp in splits])
-                for b in range(nb)]
-
-    edges_src_b = split_by("bs")
-    edges_dst_b = split_by("bd")
-
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_src_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    a_b = [_lr_init_ranks.remote(scale, *[ns[b] for ns in node_slices])
-           for b in range(nb)]
-    h_b = list(a_b)
-
-    def update(edges_b: list, ranks_b: list, key_col: str,
-               out_col: str) -> list:
-        contrib = [_hits_scatter.options(num_returns=nb).remote(
-            nb, key_col, out_col, edges_b[b], ranks_b[b])
-            for b in range(nb)]
-        if nb == 1:
-            contrib = [[c] for c in contrib]
-        raw_b = [_lr_gather.remote(0, *[cs[b] for cs in contrib])
-                 for b in range(nb)]
-        m = max(max(ray.get([_hits_max.remote(r) for r in raw_b])), 1)
-        return [_hits_rescale.remote(scale, m, r) for r in raw_b]
-
+    links = links.materialize()
+    by_src = partition(links, num_buckets, "src", _SRC_DST)
+    by_dst = partition(links, num_buckets, "dst", _SRC_DST)
+    state_b = vertices(by_src, partial(_hits_init, scale))
     for _ in range(iterations):
-        a_b = update(edges_src_b, h_b, "src", "dst")
-        h_b = update(edges_dst_b, a_b, "dst", "src")
-    out = [_hits_join.remote(a_b[b], h_b[b]) for b in range(nb)]
-    return ray.data.from_arrow_refs(out)
+        state_b = _hits_update(by_src, state_b, scale,
+                               ("src", "dst", "hub"), "authority")
+        state_b = _hits_update(by_dst, state_b, scale,
+                               ("dst", "src", "authority"), "hub")
+    return ray.data.from_arrow_refs(state_b)
 
 
-@ray.remote
-def _hits_scatter(nb: int, key_col: str, out_col: str,
-                  edges: pa.Table, ranks: pa.Table):
-    """One bucket's rank rows + its co-located edge copy -> per-edge
-    (other endpoint, rank[key endpoint]) contributions + a zero stub
-    per node, pre-split by the receiving url's bucket."""
-    r_url = ranks["url"].combine_chunks()
-    r_val = ranks["rank"].to_numpy(zero_copy_only=False)
-    out_url = [r_url]
-    out_val = [np.zeros(len(r_url), np.int64)]
-    if edges.num_rows and len(r_url):
-        ru = r_url.to_numpy(zero_copy_only=False)
-        order = np.argsort(ru)
-        sorted_urls = ru[order]
-        sorted_vals = r_val[order]
-        e_key = edges[key_col].combine_chunks().to_numpy(
-            zero_copy_only=False)
-        idx = np.searchsorted(sorted_urls, e_key)
-        # every key endpoint has a rank row here (node set = src union
-        # dst, bucketed by the same hash as this edge copy's key side)
-        out_url.append(edges[out_col].combine_chunks())
-        out_val.append(sorted_vals[idx].astype(np.int64))
-    url = pa.concat_arrays([a.cast(pa.string()) for a in out_url])
-    slices = _lr_bucket_slices(url, np.concatenate(out_val), nb)
-    return slices[0] if nb == 1 else tuple(slices)
+def _hits_init(scale: int, url: pa.Array, outdeg: np.ndarray) -> pa.Table:
+    s = pa.array(np.full(len(url), scale, np.int64), pa.int64())
+    return pa.table({"url": url, "authority": s, "hub": s})
 
 
-@ray.remote
-def _hits_max(tbl: pa.Table) -> int:
-    if not tbl.num_rows:
-        return 0
-    return int(pc.max(tbl["rank"]).as_py() or 0)
+def _hits_update(edges_b: list, state_b: list, scale: int, route,
+                 col: str) -> list:
+    """``col`` = rescaled sum over this edge copy of the sender's
+    score; ``route`` = (sender endpoint, receiver endpoint, score)."""
+    outs = superstep(edges_b, state_b, partial(_hits_scatter, *route),
+                     partial(_hits_gather, col), returns=2)
+    m = max(max(ray.get([o[1] for o in outs])), 1)
+    return gather(partial(_hits_rescale, col, scale, m),
+                  [o[0] for o in outs])
 
 
-@ray.remote
-def _hits_rescale(scale: int, m: int, tbl: pa.Table) -> pa.Table:
-    val = tbl["rank"].to_numpy(zero_copy_only=False).astype(np.int64)
+def _hits_scatter(key_col: str, out_col: str, val_col: str, nb: int,
+                  edges: pa.Table, state: pa.Table) -> list:
+    """Each edge of this copy carries its key endpoint's score (the
+    key endpoint's state row is in this bucket) to the other end."""
+    idx = np.searchsorted(_urls(state), _urls(edges, key_col))
+    msg = pa.table({
+        "url": edges[out_col],
+        "val": pa.array(state[val_col].to_numpy(zero_copy_only=False)[idx],
+                        pa.int64())})
+    return split_by_hash(msg, "url", nb)
+
+
+def _hits_gather(col: str, state: pa.Table, inbox: list):
+    raw = _sum_into(state, inbox)
+    return _set(state, col, raw), int(raw.max()) if len(raw) else 0
+
+
+def _hits_rescale(col: str, scale: int, m: int, state: pa.Table) -> pa.Table:
+    val = state[col].to_numpy(zero_copy_only=False)
     if len(val) and int(val.max()) > (2**63 - 1) // scale:
         raise OverflowError(
             "hits: raw score * scale exceeds int64 — lower `scale`")
-    return pa.table({"url": tbl["url"],
-                     "rank": pa.array(val * scale // m, pa.int64())})
-
-
-@ray.remote
-def _hits_join(a: pa.Table, h: pa.Table) -> pa.Table:
-    """Align one bucket's authority and hub rows (same node set)."""
-    if not a.num_rows:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "authority": pa.array([], pa.int64()),
-                         "hub": pa.array([], pa.int64())})
-    au = a["url"].to_numpy(zero_copy_only=False)
-    hu = h["url"].to_numpy(zero_copy_only=False)
-    ao = np.argsort(au)
-    ho = np.argsort(hu)
-    av = a["rank"].to_numpy(zero_copy_only=False)[ao]
-    hv = h["rank"].to_numpy(zero_copy_only=False)[ho]
-    return pa.table({
-        "url": pa.array(au[ao].tolist(), pa.string()),
-        "authority": pa.array(av, pa.int64()),
-        "hub": pa.array(hv, pa.int64()),
-    })
+    return _set(state, col, val * scale // m)
 
 
 def persist_edges(links: ray.data.Dataset, edges_path: str, *,
@@ -534,41 +421,31 @@ def persist_edges(links: ray.data.Dataset, edges_path: str, *,
     return edges_path
 
 
-@ray.remote(num_returns=2)
-def _frontier_bucket_slices(nb: int, *tbls: pa.Table):
-    """Split a hop's survivor blocks into per-src-hash-bucket distinct
-    url slices. Side output: per-bucket row counts (the only thing the
-    driver reads — the slices stay in the object store)."""
+def _distinct_urls(tbls) -> pa.Array:
     arrs = [t["url"].combine_chunks().cast(pa.string())
             for t in tbls if t.num_rows]
-    counts = np.zeros(nb, np.int64)
     if not arrs:
-        empty = pa.table({"url": pa.array([], pa.string())})
-        return tuple([empty] * nb), counts
-    url = pc.unique(pa.concat_arrays(
-        [a if isinstance(a, pa.Array) else a.combine_chunks()
-         for a in arrs]))
-    codes = (hash64_batch(url) % np.uint64(nb)).astype(np.int64)
-    order = np.argsort(codes, kind="stable")
-    t = pa.table({"url": url.take(pa.array(order))})
-    bounds = np.searchsorted(codes[order], np.arange(nb + 1))
-    slices = tuple(t.slice(bounds[b], bounds[b + 1] - bounds[b])
-                   for b in range(nb))
-    counts = np.diff(bounds).astype(np.int64)
-    return slices, counts
+        return pa.array([], pa.string())
+    return pc.unique(pa.concat_arrays(arrs))
+
+
+def _url_buckets(nb: int, *tbls: pa.Table) -> list:
+    """A hop's distinct survivor urls split by src-hash bucket, plus
+    the per-bucket row counts (the only thing the driver reads — the
+    slices stay in the object store)."""
+    parts = split_by_hash(pa.table({"url": _distinct_urls(tbls)}),
+                          "url", nb)
+    return parts + [np.array([p.num_rows for p in parts], np.int64)]
 
 
 @ray.remote
-def _probe_disk_bucket(paths: list, slices, b: int) -> pa.Table:
+def _probe_disk_bucket(paths: list, fslice: pa.Table) -> pa.Table:
     """Read ONE edge bucket from its hive partition files and emit the
     distinct dsts of links whose src is in the bucket's frontier slice
     (exact string membership — bucket routing uses the hash, the join
-    predicate does not). ``slices`` is the per-bucket slice tuple from
-    ``_frontier_bucket_slices`` (one shared object; zero-copy slice
-    access worker-side)."""
+    predicate does not)."""
     import pyarrow.parquet as pq
 
-    fslice = slices[b]
     if fslice.num_rows == 0 or not paths:
         return pa.table({"url": pa.array([], pa.string())})
     frontier = fslice["url"].combine_chunks()
@@ -577,9 +454,7 @@ def _probe_disk_bucket(paths: list, slices, b: int) -> pa.Table:
         t = pq.read_table(p, columns=["key_url", "dst_url"])
         hit = pc.is_in(t["key_url"], value_set=frontier)
         outs.append(t.filter(hit)["dst_url"].combine_chunks())
-    dst = pc.unique(pa.concat_arrays(
-        [o if isinstance(o, pa.Array) else o.combine_chunks()
-         for o in outs]))
+    dst = pc.unique(pa.concat_arrays(outs))
     return pa.table({"url": dst.cast(pa.string())})
 
 
@@ -673,9 +548,9 @@ def crawl_bfs(links: ray.data.Dataset, seeds: ray.data.Dataset, *,
         if hop == max_hops:
             break
         if edges_path is not None:
-            slices, bcounts = _frontier_bucket_slices.options(
-                num_returns=2).remote(num_buckets, *hop_refs)
-            bc = ray.get(bcounts)
+            parts = fan_out(_url_buckets, num_buckets + 1, num_buckets,
+                            *hop_refs)
+            bc = ray.get(parts[-1])
             touched = [b for b in range(num_buckets)
                        if bc[b] and bucket_paths[b]]
             if stats is not None:
@@ -684,7 +559,7 @@ def crawl_bfs(links: ray.data.Dataset, seeds: ray.data.Dataset, *,
                     "buckets_read": len(touched),
                     "buckets_total": num_buckets})
             frontier_refs = [_probe_disk_bucket.remote(
-                bucket_paths[b], slices, b) for b in touched]
+                bucket_paths[b], parts[b]) for b in touched]
         elif total <= broadcast_threshold:
             fset = _unique_urls.remote(*hop_refs)
             frontier_refs = [_probe_block.remote(lr, fset)
@@ -733,13 +608,7 @@ def _gate_block(gate, url_col: str, hop: int, tbl: pa.Table):
 def _unique_urls(*tbls: pa.Table):
     """Distinct url value set of the hop's survivor blocks (stays in
     the object store; the probe round reads it by ref)."""
-    arrs = [t["url"].combine_chunks().cast(pa.string())
-            for t in tbls if t.num_rows]
-    if not arrs:
-        return pa.array([], pa.string())
-    return pc.unique(pa.concat_arrays(
-        [a if isinstance(a, pa.Array) else a.combine_chunks()
-         for a in arrs]))
+    return _distinct_urls(tbls)
 
 
 @ray.remote
@@ -813,8 +682,6 @@ def host_graph(links: ray.data.Dataset, *,
             "n_links": pa.array(np.add.reduceat(n, ps).astype(np.int64),
                                 pa.int64()),
         })
-
-    from .exchange import hash_bucket_apply
 
     partials = links.map_batches(partial, batch_format="pyarrow",
                                  batch_size=None)
@@ -974,8 +841,6 @@ def co_link_pairs(links: ray.data.Dataset, *,
     in one bucket and (key, item) rows are deduped there). Pages never
     shuffle — only narrow url-pair rows move.
     """
-    from .exchange import hash_bucket_apply
-
     if mode == "cocitation":
         k_col, v_col = src_col, dst_col
     elif mode == "coupling":
@@ -1107,8 +972,6 @@ def triangle_counts(links: ray.data.Dataset, *,
        joined against the oriented edge set in the same buckets;
     4. found triangles emit one row per corner -> per-node count.
     """
-    from .exchange import hash_bucket_apply
-
     nbu = np.uint64(num_buckets)
 
     def und_edges(batch: pa.Table) -> pa.Table:
@@ -1897,58 +1760,14 @@ def root_page_seed(url: pa.Array) -> np.ndarray:
     return m.to_numpy(zero_copy_only=False).astype(bool)
 
 
-def _tr_seed_mask(url: pa.Array, seed_pred, seed_set) -> np.ndarray:
-    """Boolean seed-membership mask for one bucket's node urls —
-    either a vectorized predicate or a sorted broadcast url array
-    probed with searchsorted (exact string membership)."""
-    if seed_pred is not None:
-        return np.asarray(seed_pred(url), bool)
+def _in_sorted(seed_set: np.ndarray, url: pa.Array) -> np.ndarray:
+    """Membership of one bucket's node urls in a sorted broadcast url
+    array (searchsorted, exact string membership)."""
     u = url.to_numpy(zero_copy_only=False)
-    if seed_set is None or len(seed_set) == 0:
+    if len(seed_set) == 0:
         return np.zeros(len(u), bool)
     idx = np.minimum(np.searchsorted(seed_set, u), len(seed_set) - 1)
     return seed_set[idx] == u
-
-
-@ray.remote
-def _tr_init_ranks(scale: int, seed_pred, seed_set,
-                   *tbls: pa.Table) -> pa.Table:
-    """Distinct urls of one bucket -> trust = scale on seeds, 0 else
-    (TrustRank starts all mass on the trusted seed set)."""
-    arrs = [t["url"].combine_chunks() for t in tbls if t.num_rows]
-    if not arrs:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "rank": pa.array([], pa.int64())})
-    u = pc.unique(pa.concat_arrays(arrs)).cast(pa.string())
-    mask = _tr_seed_mask(u, seed_pred, seed_set)
-    return pa.table({
-        "url": u,
-        "rank": pa.array(np.where(mask, scale, 0).astype(np.int64),
-                         pa.int64()),
-    })
-
-
-@ray.remote
-def _tr_gather(base: int, seed_pred, seed_set, *tbls: pa.Table) -> pa.Table:
-    """trust = (base if seed else 0) + integer sum of one bucket's
-    contributions — the teleport term lands ONLY on seeds."""
-    live = [t for t in tbls if t.num_rows]
-    if not live:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "trust": pa.array([], pa.int64())})
-    t = pa.concat_tables(live, promote_options="permissive")
-    url = t["url"].combine_chunks()
-    val = t["val"].to_numpy(zero_copy_only=False).astype(np.int64)
-    enc = url.dictionary_encode()
-    idx = enc.indices.to_numpy(zero_copy_only=False)
-    sums = np.zeros(len(enc.dictionary), np.int64)
-    np.add.at(sums, idx, val)
-    u = enc.dictionary.cast(pa.string())
-    mask = _tr_seed_mask(u, seed_pred, seed_set)
-    return pa.table({
-        "url": u,
-        "trust": pa.array(sums + np.where(mask, base, 0), pa.int64()),
-    })
 
 
 def trust_rank(links: ray.data.Dataset, *, iterations: int = 3,
@@ -1976,164 +1795,61 @@ def trust_rank(links: ray.data.Dataset, *, iterations: int = 3,
     Seeds: ``seed_pred`` (vectorized pa.Array -> bool mask, applied
     per bucket — nothing materializes on the driver; default
     :func:`root_page_seed`) or an explicit ``seeds`` url list
-    (sorted + broadcast once, searchsorted membership per bucket —
-    the small trusted-site list of a real deployment).
+    (sorted + shipped with the init kernel, searchsorted membership
+    per bucket — the small trusted-site list of a real deployment).
 
-    Dataflow is :func:`link_rank`'s partitioned-cached shape verbatim:
-    edges bucket-shuffled ONCE by ``hash64(src) % num_buckets`` and
-    cached; each iteration is one scatter (per-edge contribution +
-    zero stub, pre-split by receiver bucket) + one integer gather;
-    per-iteration traffic is the narrow (url, int64) stream.
+    Dataflow is :func:`link_rank`'s verbatim: the same ``partition``,
+    ``vertices`` and ``superstep`` scatter/gather kernels; only the
+    initial state differs (rank and teleport mass on seeds only).
     """
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
     if seeds is not None:
-        seed_pred = None
-        seed_set = np.sort(np.asarray(list(seeds), dtype=object))
-    else:
-        if seed_pred is None:
-            raise ValueError("one of seed_pred / seeds is required")
-        seed_set = None
-    nb = num_buckets
-    base = (scale * (damping_den - damping_num)) // damping_den
-    nbu = np.uint64(nb)
-
-    def key_edges(batch: pa.Table) -> pa.Table:
-        src = batch["src_url"].cast(pa.string())
-        h = hash64_batch(src)
-        return pa.table({
-            "bucket": pa.array((h % nbu).astype(np.int64), pa.int64()),
-            "src": src,
-            "dst": batch["dst_url"].cast(pa.string()),
-        })
-
-    from .exchange import _chunked, _split_hash
-
-    keyed = links.map_batches(key_edges, batch_format="pyarrow",
-                              batch_size=None).materialize()
-    refs = keyed.to_arrow_refs()
-    splits = [_split_hash.options(num_returns=nb).remote("bucket", nb, *g)
-              for g in _chunked(refs)]
-    if nb == 1:
-        splits = [[s] for s in splits]
-    edges_b = [_lr_concat.remote(*[sp[b] for sp in splits])
-               for b in range(nb)]
-
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    seed_ref = ray.put(seed_set) if seed_set is not None else None
-    ranks_b = [_tr_init_ranks.remote(scale, seed_pred, seed_ref,
-                                     *[ns[b] for ns in node_slices])
-               for b in range(nb)]
-
-    for it in range(iterations):
-        contrib = [_lr_scatter.options(num_returns=nb).remote(
-            nb, damping_num, damping_den, edges_b[b], ranks_b[b])
-            for b in range(nb)]
-        if nb == 1:
-            contrib = [[c] for c in contrib]
-        gathered = [_tr_gather.remote(base, seed_pred, seed_ref,
-                                      *[cs[b] for cs in contrib])
-                    for b in range(nb)]
-        if it + 1 < iterations:
-            # scatter expects (url, rank) state rows
-            ranks_b = [_tr_to_rank.remote(g) for g in gathered]
-        else:
-            ranks_b = gathered
-    if iterations == 0:
-        ranks_b = [_tr_init_as_trust.remote(r) for r in ranks_b]
-    return ray.data.from_arrow_refs(ranks_b)
-
-
-@ray.remote
-def _tr_to_rank(t: pa.Table) -> pa.Table:
-    return t.rename_columns(["url", "rank"])
-
-
-@ray.remote
-def _tr_init_as_trust(t: pa.Table) -> pa.Table:
-    return t.rename_columns(["url", "trust"])
+        seed_pred = partial(_in_sorted,
+                            np.sort(np.asarray(list(seeds), dtype=object)))
+    elif seed_pred is None:
+        raise ValueError("one of seed_pred / seeds is required")
+    return _pagerank(links, "trust", seed_pred, iterations, num_buckets,
+                     scale, damping_num, damping_den)
 
 
 # --------------------------------------------------------------------------
 # k-core peeling (unrolled rounds) — graph-density crawl signal
 # --------------------------------------------------------------------------
 
-@ray.remote
-def _kc_edges(nb: int, *tbls: pa.Table) -> pa.Table:
-    """Concat one bucket's symmetrized edge slices + distinct dedup
-    (all copies of (src, dst) share the src hash, so per-bucket
-    dedup is global dedup)."""
-    live = [t for t in tbls if t.num_rows]
-    if not live:
-        return pa.table({"src": pa.array([], pa.string()),
-                         "dst": pa.array([], pa.string())})
-    t = pa.concat_tables(live, promote_options="permissive")
-    import polars as pl
-
-    return pl.from_arrow(t).unique().to_arrow().select(["src", "dst"])
+def _undirected(src_col: str, dst_col: str, batch: pa.Table) -> pa.Table:
+    """Both directions of every non-self-loop link row."""
+    a = batch[src_col].cast(pa.string())
+    b = batch[dst_col].cast(pa.string())
+    keep = pc.invert(pc.equal(a, b))
+    a, b = a.filter(keep).combine_chunks(), b.filter(keep).combine_chunks()
+    return pa.table({"src": pa.concat_arrays([a, b]),
+                     "dst": pa.concat_arrays([b, a])})
 
 
-@ray.remote
-def _kc_init_state(*tbls: pa.Table) -> pa.Table:
-    arrs = [t["url"].combine_chunks() for t in tbls if t.num_rows]
-    if not arrs:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "alive": pa.array([], pa.int8())})
-    u = pc.unique(pa.concat_arrays(arrs))
-    return pa.table({
-        "url": u.cast(pa.string()),
-        "alive": pa.array(np.ones(len(u), np.int8), pa.int8())})
+def _kc_init(url: pa.Array, outdeg: np.ndarray) -> pa.Table:
+    return pa.table({"url": url,
+                     "alive": pa.array(np.ones(len(url), np.int8),
+                                       pa.int8())})
 
 
-@ray.remote
-def _kc_scatter(nb: int, edges: pa.Table, state: pa.Table):
-    """Each ALIVE node sends 1 along every out-edge; messages are
-    pre-split by the receiver's bucket."""
-    if edges.num_rows == 0 or state.num_rows == 0:
-        empty = pa.table({"url": pa.array([], pa.string())})
-        return empty if nb == 1 else tuple([empty] * nb)
-    su = state["url"].to_numpy(zero_copy_only=False)
-    sa = state["alive"].to_numpy(zero_copy_only=False)
-    order = np.argsort(su)
-    e_src = edges["src"].combine_chunks().to_numpy(zero_copy_only=False)
-    idx = np.searchsorted(su[order], e_src)
-    mask = sa[order][idx].astype(bool)
-    dst = edges["dst"].combine_chunks().filter(
-        pa.array(mask)) if mask.any() else pa.array([], pa.string())
-    slices = _lr_bucket_slices(dst.combine_chunks()
-                               if isinstance(dst, pa.ChunkedArray)
-                               else dst, None, nb)
-    out = [s.select(["url"]) for s in slices]
-    return out[0] if nb == 1 else tuple(out)
+def _kc_scatter(nb: int, edges: pa.Table, state: pa.Table) -> list:
+    """Each ALIVE node sends 1 along every out-edge."""
+    idx = np.searchsorted(_urls(state), _urls(edges, "src"))
+    alive = state["alive"].to_numpy(zero_copy_only=False)[idx].astype(bool)
+    msg = pa.table({"url": edges["dst"].filter(pa.array(alive))})
+    return split_by_hash(msg, "url", nb)
 
 
-@ray.remote
-def _kc_gather(k: int, state: pa.Table, *msg_tbls: pa.Table) -> pa.Table:
+def _kc_gather(k: int, state: pa.Table, inbox: list) -> pa.Table:
     """alive' = alive AND (count of messages >= k)."""
-    su = state["url"].combine_chunks()
-    sa = state["alive"].to_numpy(zero_copy_only=False).astype(bool)
-    deg = np.zeros(len(su), np.int64)
-    live = [t for t in msg_tbls if t.num_rows]
-    if live:
-        m = pa.concat_tables(live, promote_options="permissive")
-        mu = m["url"].combine_chunks().to_numpy(zero_copy_only=False)
-        sun = su.to_numpy(zero_copy_only=False)
-        order = np.argsort(sun)
-        idx = np.searchsorted(sun[order], mu)
-        np.add.at(deg, order[idx], 1)
-    alive_new = sa & (deg >= k)
-    return pa.table({
-        "url": su.cast(pa.string()),
-        "alive": pa.array(alive_new.astype(np.int8), pa.int8())})
+    alive = (state["alive"].to_numpy(zero_copy_only=False).astype(bool)
+             & (_sum_into(state, inbox) >= k))
+    return pa.table({"url": state["url"],
+                     "alive": pa.array(alive.astype(np.int8), pa.int8())})
 
 
-@ray.remote
 def _kc_final(t: pa.Table) -> pa.Table:
     return pa.table({
-        "url": t["url"].combine_chunks().cast(pa.string()),
+        "url": t["url"],
         "in_core": pc.equal(t["alive"], pa.scalar(1, pa.int8()))})
 
 
@@ -2155,145 +1871,56 @@ def kcore_peel(links: ray.data.Dataset, *, k: int = 2, rounds: int = 3,
     self-loops; nodes = endpoints of the cleaned edge set; returns
     ``(url, in_core)``.
 
-    Dataflow: one symmetrized edge shuffle cached per bucket (the
-    link_rank shape); each round is one scatter (alive nodes send 1
-    along out-edges, pre-split by receiver bucket) + one gather
-    (``alive' = alive AND deg >= k``) — per-round traffic is the
-    narrow message stream, never the edges.
+    Dataflow (the link_rank shape): ``partition`` caches the
+    symmetrized edges per src bucket with a distinct combine (all
+    copies of an edge share the src hash, so per-bucket dedup is
+    global dedup); each round is one ``superstep`` (alive nodes send 1
+    along out-edges; ``alive' = alive AND deg >= k``) — per-round
+    traffic is the narrow message stream, never the edges.
     """
     if rounds < 0 or k < 0:
         raise ValueError("rounds and k must be >= 0")
-    nb = num_buckets
-    nbu = np.uint64(nb)
-
-    def key_edges(batch: pa.Table) -> pa.Table:
-        a = batch[src_col].cast(pa.string())
-        b = batch[dst_col].cast(pa.string())
-        keep = pc.invert(pc.equal(a, b))
-        a, b = a.filter(keep), b.filter(keep)
-        src = pa.concat_arrays(
-            [a.combine_chunks(), b.combine_chunks()])
-        dst = pa.concat_arrays(
-            [b.combine_chunks(), a.combine_chunks()])
-        h = hash64_batch(src)
-        return pa.table({
-            "bucket": pa.array((h % nbu).astype(np.int64), pa.int64()),
-            "src": src, "dst": dst})
-
-    from .exchange import _chunked, _split_hash
-
-    keyed = links.map_batches(key_edges, batch_format="pyarrow",
-                              batch_size=None).materialize()
-    refs = keyed.to_arrow_refs()
-    splits = [_split_hash.options(num_returns=nb).remote("bucket", nb, *g)
-              for g in _chunked(refs)]
-    if nb == 1:
-        splits = [[s] for s in splits]
-    edges_b = [_kc_edges.remote(nb, *[sp[b] for sp in splits])
-               for b in range(nb)]
-
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    state_b = [_kc_init_state.remote(*[ns[b] for ns in node_slices])
-               for b in range(nb)]
-
+    und = links.map_batches(partial(_undirected, src_col, dst_col),
+                            batch_format="pyarrow", batch_size=None)
+    edges_b = partition(und, num_buckets, "src",
+                        (("src", "src"), ("dst", "dst")),
+                        partial(distinct, ("src", "dst")))
+    state_b = vertices(edges_b, _kc_init)
     for _ in range(rounds):
-        msgs = [_kc_scatter.options(num_returns=nb).remote(
-            nb, edges_b[b], state_b[b]) for b in range(nb)]
-        if nb == 1:
-            msgs = [[m] for m in msgs]
-        state_b = [_kc_gather.remote(k, state_b[b],
-                                     *[ms[b] for ms in msgs])
-                   for b in range(nb)]
-    return ray.data.from_arrow_refs(
-        [_kc_final.remote(s) for s in state_b])
+        state_b = superstep(edges_b, state_b, _kc_scatter,
+                            partial(_kc_gather, k))
+    return ray.data.from_arrow_refs(gather(_kc_final, state_b))
 
 
 # --------------------------------------------------------------------------
 # OPIC — On-line Page Importance Computation (Abiteboul et al. 2003)
 # --------------------------------------------------------------------------
 
-@ray.remote
-def _op_init(scale: int, *tbls: pa.Table) -> pa.Table:
-    arrs = [t["url"].combine_chunks() for t in tbls if t.num_rows]
-    if not arrs:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "cash": pa.array([], pa.int64()),
-                         "hist": pa.array([], pa.int64())})
-    u = pc.unique(pa.concat_arrays(arrs))
+def _opic_init(scale: int, url: pa.Array, outdeg: np.ndarray) -> pa.Table:
+    n = len(url)
     return pa.table({
-        "url": u.cast(pa.string()),
-        "cash": pa.array(np.full(len(u), scale, np.int64), pa.int64()),
-        "hist": pa.array(np.zeros(len(u), np.int64), pa.int64())})
+        "url": url,
+        "cash": pa.array(np.full(n, scale, np.int64), pa.int64()),
+        "hist": pa.array(np.zeros(n, np.int64), pa.int64()),
+        "outdeg": pa.array(outdeg, pa.int64())})
 
 
-@ray.remote
-def _op_scatter(nb: int, edges: pa.Table, state: pa.Table):
-    """Every node distributes cash DIV outdeg along each out-edge
-    (dangling nodes keep their cash); messages pre-split by the
-    receiver's bucket. Also emits a zero stub per local node so the
-    gather sees the full node set."""
-    s_url = state["url"].combine_chunks()
-    s_cash = state["cash"].to_numpy(zero_copy_only=False)
-    out_url = [s_url]
-    out_val = [np.zeros(len(s_url), np.int64)]
-    if edges.num_rows and len(s_url):
-        su = s_url.to_numpy(zero_copy_only=False)
-        order = np.argsort(su)
-        e_src = edges["src"].combine_chunks().to_numpy(
-            zero_copy_only=False)
-        idx = np.searchsorted(su[order], e_src)
-        deg = np.bincount(idx, minlength=len(su))
-        give = s_cash[order][idx] // deg[idx]
-        out_url.append(edges["dst"].combine_chunks())
-        out_val.append(give.astype(np.int64))
-    url = pa.concat_arrays([a.cast(pa.string()) for a in out_url])
-    slices = _lr_bucket_slices(url, np.concatenate(out_val), nb)
-    return slices[0] if nb == 1 else tuple(slices)
+def _opic_gather(state: pa.Table, inbox: list) -> pa.Table:
+    """hist += cash just spent (nodes with out-links; dangling nodes
+    keep their cash), cash' = received messages (+ kept cash)."""
+    cash = state["cash"].to_numpy(zero_copy_only=False)
+    spent = state["outdeg"].to_numpy(zero_copy_only=False) > 0
+    out = _set(state, "hist", state["hist"].to_numpy(zero_copy_only=False)
+               + np.where(spent, cash, 0))
+    return _set(out, "cash",
+                _sum_into(state, inbox) + np.where(spent, 0, cash))
 
 
-@ray.remote
-def _op_gather(edges: pa.Table, state: pa.Table,
-               *msg_tbls: pa.Table) -> pa.Table:
-    """hist += cash just spent (non-dangling nodes only; dangling
-    nodes keep cash), cash' = received messages (+ kept cash)."""
-    s_url = state["url"].combine_chunks()
-    su = s_url.to_numpy(zero_copy_only=False)
-    s_cash = state["cash"].to_numpy(zero_copy_only=False).copy()
-    s_hist = state["hist"].to_numpy(zero_copy_only=False).copy()
-    order = np.argsort(su)
-    has_out = np.zeros(len(su), bool)
-    if edges.num_rows:
-        e_src = edges["src"].combine_chunks().to_numpy(
-            zero_copy_only=False)
-        idx = np.searchsorted(su[order], e_src)
-        has_out[order[idx]] = True
-    recv = np.zeros(len(su), np.int64)
-    live = [t for t in msg_tbls if t.num_rows]
-    if live:
-        m = pa.concat_tables(live, promote_options="permissive")
-        mu = m["url"].combine_chunks().to_numpy(zero_copy_only=False)
-        mv = m["val"].to_numpy(zero_copy_only=False).astype(np.int64)
-        midx = np.searchsorted(su[order], mu)
-        np.add.at(recv, order[midx], mv)
-    hist_new = s_hist + np.where(has_out, s_cash, 0)
-    cash_new = recv + np.where(has_out, 0, s_cash)
-    return pa.table({
-        "url": s_url.cast(pa.string()),
-        "cash": pa.array(cash_new, pa.int64()),
-        "hist": pa.array(hist_new, pa.int64())})
-
-
-@ray.remote
-def _op_final(t: pa.Table) -> pa.Table:
+def _opic_final(t: pa.Table) -> pa.Table:
     cash = t["cash"].to_numpy(zero_copy_only=False)
     hist = t["hist"].to_numpy(zero_copy_only=False)
-    return pa.table({
-        "url": t["url"].combine_chunks().cast(pa.string()),
-        "cash": t["cash"], "hist": t["hist"],
-        "importance": pa.array(cash + hist, pa.int64())})
+    return pa.table({"url": t["url"], "cash": t["cash"], "hist": t["hist"],
+                     "importance": pa.array(cash + hist, pa.int64())})
 
 
 def opic(links: ray.data.Dataset, *, rounds: int = 3,
@@ -2312,48 +1939,18 @@ def opic(links: ray.data.Dataset, *, rounds: int = 3,
 
     Dataflow is the link_rank partitioned-cached shape: edges
     bucket-shuffled ONCE by ``hash64(src) % num_buckets``; each round
-    is one scatter + one gather of the narrow (url, int64) stream.
+    is one ``superstep`` whose scatter is link_rank's with damping 1/1
+    over the ``cash`` column, and whose gather banks the spent cash.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    nb = num_buckets
-    nbu = np.uint64(nb)
-
-    def key_edges(batch: pa.Table) -> pa.Table:
-        src = batch["src_url"].cast(pa.string())
-        h = hash64_batch(src)
-        return pa.table({
-            "bucket": pa.array((h % nbu).astype(np.int64), pa.int64()),
-            "src": src,
-            "dst": batch["dst_url"].cast(pa.string())})
-
-    from .exchange import _chunked, _split_hash
-
-    keyed = links.map_batches(key_edges, batch_format="pyarrow",
-                              batch_size=None).materialize()
-    refs = keyed.to_arrow_refs()
-    splits = [_split_hash.options(num_returns=nb).remote("bucket", nb, *g)
-              for g in _chunked(refs)]
-    if nb == 1:
-        splits = [[s] for s in splits]
-    edges_b = [_lr_concat.remote(*[sp[b] for sp in splits])
-               for b in range(nb)]
-    node_slices = [_lr_emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_b]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    state_b = [_op_init.remote(scale, *[ns[b] for ns in node_slices])
-               for b in range(nb)]
+    edges_b = partition(links, num_buckets, "src", _SRC_DST)
+    state_b = vertices(edges_b, partial(_opic_init, scale))
     for _ in range(rounds):
-        msgs = [_op_scatter.options(num_returns=nb).remote(
-            nb, edges_b[b], state_b[b]) for b in range(nb)]
-        if nb == 1:
-            msgs = [[m] for m in msgs]
-        state_b = [_op_gather.remote(edges_b[b], state_b[b],
-                                     *[ms[b] for ms in msgs])
-                   for b in range(nb)]
-    return ray.data.from_arrow_refs(
-        [_op_final.remote(s) for s in state_b])
+        state_b = superstep(edges_b, state_b,
+                            partial(_rank_scatter, "cash", 1, 1),
+                            _opic_gather)
+    return ray.data.from_arrow_refs(gather(_opic_final, state_b))
 
 
 def degree_hist(links: ray.data.Dataset, *, num_buckets: int = 32
@@ -2374,8 +1971,6 @@ def degree_hist(links: ray.data.Dataset, *, num_buckets: int = 32
     tiny final rollup — the histogram never sees raw edges twice.
     """
     import polars as pl
-
-    from .exchange import hash_bucket_apply
 
     nbu = np.uint64(num_buckets)
 

@@ -24,6 +24,8 @@ Madduri 2014) — no transitive closure, no per-node visited sets:
 Each round moves only narrow (node, label) messages over edges that
 were hash-bucket-cached ONCE (two copies: by src for F, by dst for
 B); the driver holds a change counter per round and nothing else.
+The rounds are ``scatter`` / ``gather`` calls of the one
+``stages/exchange.py`` primitive.
 
 The reference (an HTTP CDX client) has no graph ops; this pairs with
 links.py's PageRank/HITS/k-core family for the crawl north star.
@@ -31,87 +33,32 @@ links.py's PageRank/HITS/k-core family for the crawl north star.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
 import ray
 import ray.data
 
 from ..canon import hash64_batch
-
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
+from .dedup import _PHI, _mix64
+from .exchange import (concat, distinct, gather, partition, rehash, scatter,
+                       split_by_hash, vertices)
 
 _EMPTY_MSG = pa.table({"recv": pa.array([], pa.string()),
                        "label": pa.array([], pa.string()),
                        "part": pa.array([], pa.int64())})
-_EMPTY_EDGE = pa.table({"key": pa.array([], pa.string()),
-                        "recv": pa.array([], pa.string())})
+
+#: combine kernel of both edge copies: distinct, sorted by key
+_KEY_RECV = partial(distinct, ("key", "recv"))
 
 
-def _slice_by_hash(tbl: pa.Table, key_col: str, nb: int) -> list:
-    """Split rows by hash64(key_col) % nb (stable order)."""
-    if tbl.num_rows == 0:
-        return [tbl] * nb
-    h = (hash64_batch(tbl[key_col].combine_chunks())
-         % np.uint64(nb)).astype(np.int64)
-    order = np.argsort(h, kind="stable")
-    t = tbl.take(pa.array(order))
-    bounds = np.searchsorted(h[order], np.arange(nb + 1))
-    return [t.slice(bounds[p], bounds[p + 1] - bounds[p])
-            for p in range(nb)]
-
-
-@ray.remote
-def _sc_edges(*slices: pa.Table) -> pa.Table:
-    """One sender-bucket's (key, recv) slices -> distinct, sorted by
-    key (searchsorted-ready)."""
-    live = [t for t in slices if t.num_rows]
-    if not live:
-        return _EMPTY_EDGE
-    import polars as pl
-
-    t = pa.concat_tables(live, promote_options="permissive")
-    return (pl.from_arrow(t.select(["key", "recv"])).unique()
-            .sort(["key", "recv"]).to_arrow()
-            .cast(pa.schema([("key", pa.string()),
-                             ("recv", pa.string())])))
-
-
-@ray.remote
-def _sc_init(*node_slices: pa.Table) -> pa.Table:
-    import pyarrow.compute as pc
-
-    arrs = [t["url"].combine_chunks() for t in node_slices
-            if t.num_rows]
-    if not arrs:
-        return pa.table({"url": pa.array([], pa.string()),
-                         "part": pa.array([], pa.int64()),
-                         "f": pa.array([], pa.string()),
-                         "b": pa.array([], pa.string()),
-                         "scc": pa.array([], pa.string())})
-    u = pc.unique(pa.concat_arrays(arrs)).cast(pa.string())
-    un = u.to_numpy(zero_copy_only=False)
-    order = np.argsort(un)
-    u = u.take(pa.array(order))
-    n = len(u)
+def _sc_init(url: pa.Array, outdeg: np.ndarray) -> pa.Table:
+    n = len(url)
     return pa.table({
-        "url": u, "part": pa.array(np.zeros(n, np.int64), pa.int64()),
-        "f": u, "b": u,
+        "url": url, "part": pa.array(np.zeros(n, np.int64), pa.int64()),
+        "f": url, "b": url,
         "scc": pa.array([None] * n, pa.string())})
-
-
-@ray.remote
-def _sc_reset(state: pa.Table) -> pa.Table:
-    """New outer round: F and B restart from self-labels."""
-    return pa.table({"url": state["url"], "part": state["part"],
-                     "f": state["url"], "b": state["url"],
-                     "scc": state["scc"]})
 
 
 def _state_arrays(state: pa.Table, col: str):
@@ -122,56 +69,37 @@ def _state_arrays(state: pa.Table, col: str):
     return urls, lab, part, scc
 
 
-@ray.remote
-def _sc_scatter(nb: int, edges: pa.Table, state: pa.Table, col: str):
+def _sc_scatter(col: str, nb: int, edges: pa.Table, state: pa.Table):
     """Unassigned senders relax their label along cached edges."""
     if edges.num_rows == 0 or state.num_rows == 0:
-        out = [_EMPTY_MSG] * nb
-        return out[0] if nb == 1 else tuple(out)
+        return [_EMPTY_MSG] * nb
     urls, lab, part, scc = _state_arrays(state, col)
     key = edges["key"].combine_chunks().to_numpy(zero_copy_only=False)
     idx = np.searchsorted(urls, key)
     idx_c = np.minimum(idx, len(urls) - 1)
     ok = (urls[idx_c] == key) & (scc[idx_c] == None)  # noqa: E711
-    if not ok.any():
-        out = [_EMPTY_MSG] * nb
-        return out[0] if nb == 1 else tuple(out)
     msg = pa.table({
         "recv": edges["recv"].combine_chunks().filter(pa.array(ok)),
         "label": pa.array(lab[idx_c[ok]], pa.string()),
         "part": pa.array(part[idx_c[ok]], pa.int64())})
-    out = _slice_by_hash(msg, "recv", nb)
-    return out[0] if nb == 1 else tuple(out)
+    return split_by_hash(msg, "recv", nb)
 
 
-@ray.remote
-def _sc_jumpreq(nb: int, state: pa.Table, col: str):
+def _sc_jumpreq(col: str, nb: int, state: pa.Table):
     """Pointer-jump requests: v asks owner w = label(v) for w's label."""
-    sch = pa.schema([("owner", pa.string()), ("asker", pa.string()),
-                     ("part", pa.int64())])
-    if state.num_rows == 0:
-        out = [sch.empty_table()] * nb
-        return out[0] if nb == 1 else tuple(out)
     urls, lab, part, scc = _state_arrays(state, col)
     ok = (scc == None) & (lab != urls)  # noqa: E711
-    if not ok.any():
-        out = [sch.empty_table()] * nb
-        return out[0] if nb == 1 else tuple(out)
     req = pa.table({"owner": pa.array(lab[ok], pa.string()),
                     "asker": pa.array(urls[ok], pa.string()),
                     "part": pa.array(part[ok], pa.int64())})
-    out = _slice_by_hash(req, "owner", nb)
-    return out[0] if nb == 1 else tuple(out)
+    return split_by_hash(req, "owner", nb)
 
 
-@ray.remote
-def _sc_jumprep(nb: int, state: pa.Table, col: str, *reqs: pa.Table):
+def _sc_jumprep(col: str, nb: int, state: pa.Table, reqs: list):
     """Answer jump requests from this bucket's (owner) state rows."""
-    live = [t for t in reqs if t.num_rows]
-    if not live or state.num_rows == 0:
-        out = [_EMPTY_MSG] * nb
-        return out[0] if nb == 1 else tuple(out)
-    r = pa.concat_tables(live, promote_options="permissive")
+    r = concat(reqs)
+    if not r.num_rows or state.num_rows == 0:
+        return [_EMPTY_MSG] * nb
     urls, lab, part, scc = _state_arrays(state, col)
     owner = r["owner"].combine_chunks().to_numpy(zero_copy_only=False)
     idx = np.searchsorted(urls, owner)
@@ -179,24 +107,18 @@ def _sc_jumprep(nb: int, state: pa.Table, col: str, *reqs: pa.Table):
     rp = r["part"].to_numpy(zero_copy_only=False)
     ok = (urls[idx_c] == owner) & (scc[idx_c] == None) \
         & (part[idx_c] == rp)  # noqa: E711
-    if not ok.any():
-        out = [_EMPTY_MSG] * nb
-        return out[0] if nb == 1 else tuple(out)
     msg = pa.table({
         "recv": r["asker"].combine_chunks().filter(pa.array(ok)),
         "label": pa.array(lab[idx_c[ok]], pa.string()),
         "part": pa.array(rp[ok], pa.int64())})
-    out = _slice_by_hash(msg, "recv", nb)
-    return out[0] if nb == 1 else tuple(out)
+    return split_by_hash(msg, "recv", nb)
 
 
-@ray.remote
-def _sc_gather(state: pa.Table, col: str, *msgs: pa.Table):
+def _sc_gather(col: str, state: pa.Table, msgs: list):
     """Min-merge part-matched messages into unassigned receivers."""
-    live = [t for t in msgs if t.num_rows]
-    if not live or state.num_rows == 0:
+    m = concat(msgs)
+    if not m.num_rows or state.num_rows == 0:
         return state, 0
-    m = pa.concat_tables(live, promote_options="permissive")
     urls, lab, part, scc = _state_arrays(state, col)
     recv = m["recv"].combine_chunks().to_numpy(zero_copy_only=False)
     mlab = m["label"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -224,12 +146,11 @@ def _sc_gather(state: pa.Table, col: str, *msgs: pa.Table):
     return pa.table(cols), int(better.sum())
 
 
-@ray.remote
 def _sc_assign_refine(state: pa.Table):
-    """Assign scc where F == B; refine survivors' partitions."""
+    """Assign scc where F == B; refine survivors' partitions; F and B
+    restart from self-labels for the next outer round."""
     if state.num_rows == 0:
         return state, 0
-    urls = state["url"].combine_chunks().to_numpy(zero_copy_only=False)
     f = state["f"].combine_chunks().to_numpy(zero_copy_only=False)
     b = state["b"].combine_chunks().to_numpy(zero_copy_only=False)
     part = state["part"].to_numpy(zero_copy_only=False)
@@ -248,61 +169,33 @@ def _sc_assign_refine(state: pa.Table):
         newpart[still] = mixed.view(np.int64)
     out = pa.table({"url": state["url"],
                     "part": pa.array(newpart, pa.int64()),
-                    "f": state["f"], "b": state["b"],
+                    "f": state["url"], "b": state["url"],
                     "scc": pa.array(scc, pa.string())})
     return out, int(still.sum())
 
 
-@ray.remote
 def _sc_final(state: pa.Table) -> pa.Table:
     return pa.table({
         "url": state["url"].combine_chunks().cast(pa.string()),
         "scc": state["scc"].combine_chunks().cast(pa.string())})
 
 
-def _keyed(links: ray.data.Dataset, nb: int, src_col: str,
-           dst_col: str, by: str) -> ray.data.Dataset:
-    """(bucket, key, recv) rows: by='src' -> F copy (sender = src,
-    receiver = dst); by='dst' -> B copy (sender = dst, receiver =
-    src)."""
-    nbu = np.uint64(nb)
-
-    def key(batch: pa.Table) -> pa.Table:
-        s = batch[src_col].cast(pa.string())
-        d = batch[dst_col].cast(pa.string())
-        k, r = (s, d) if by == "src" else (d, s)
-        h = hash64_batch(k.combine_chunks())
-        return pa.table({
-            "bucket": pa.array((h % nbu).astype(np.int64), pa.int64()),
-            "key": k, "recv": r})
-
-    return links.map_batches(key, batch_format="pyarrow",
-                             batch_size=None)
-
-
-def _fixpoint(nb: int, edges_b: list, state_b: list, col: str,
+def _fixpoint(edges_b: list, state_b: list, col: str,
               max_inner: int = 200) -> list:
-    """Min-label relaxation + pointer jumping to fixpoint; the driver
-    holds one change counter per round (the components.py contract)."""
+    """Min-label relaxation + pointer jumping to fixpoint: per round
+    one label scatter over the cached edges and one request/reply
+    scatter pair, gathered into the state; the driver holds one
+    change counter per bucket and round (the components.py
+    contract)."""
     for _ in range(max_inner):
-        msgs = [_sc_scatter.options(num_returns=nb).remote(
-            nb, edges_b[q], state_b[q], col) for q in range(nb)]
-        reqs = [_sc_jumpreq.options(num_returns=nb).remote(
-            nb, state_b[q], col) for q in range(nb)]
-        if nb == 1:
-            msgs = [[m] for m in msgs]
-            reqs = [[r] for r in reqs]
-        reps = [_sc_jumprep.options(num_returns=nb).remote(
-            nb, state_b[p], col, *[reqs[q][p] for q in range(nb)])
-            for p in range(nb)]
-        if nb == 1:
-            reps = [[r] for r in reps]
-        gathers = [_sc_gather.options(num_returns=2).remote(
-            state_b[p], col,
-            *[msgs[q][p] for q in range(nb)],
-            *[reps[q][p] for q in range(nb)]) for p in range(nb)]
-        state_b = [g[0] for g in gathers]
-        if sum(ray.get([g[1] for g in gathers])) == 0:
+        msgs = scatter(partial(_sc_scatter, col), edges_b, state_b)
+        reps = scatter(partial(_sc_jumprep, col), state_b,
+                       inbox=scatter(partial(_sc_jumpreq, col), state_b))
+        outs = gather(partial(_sc_gather, col), state_b,
+                      inbox=[m + r for m, r in zip(msgs, reps)],
+                      returns=2)
+        state_b = [o[0] for o in outs]
+        if sum(ray.get([o[1] for o in outs])) == 0:
             return state_b
     raise RuntimeError("scc: %s-fixpoint did not converge in %d rounds"
                        % (col, max_inner))
@@ -310,55 +203,22 @@ def _fixpoint(nb: int, edges_b: list, state_b: list, col: str,
 
 def _scc_state(links: ray.data.Dataset, *, num_buckets: int,
                src_col: str, dst_col: str, max_rounds: int):
-    """Shared core: returns (state_b, edges_f_b, edges_bwd_b, nb)."""
-    nb = num_buckets
-    from .exchange import _chunked, _split_hash
-    from .links import _lr_emit_nodes
-
-    def build(by: str) -> list | None:
-        keyed = _keyed(links, nb, src_col, dst_col, by).materialize()
-        if keyed.count() == 0:
-            return None
-        refs = keyed.to_arrow_refs()
-        splits = [_split_hash.options(num_returns=nb).remote(
-            "bucket", nb, *g) for g in _chunked(refs)]
-        if nb == 1:
-            splits = [[s] for s in splits]
-        return [_sc_edges.remote(*[sp[q] for sp in splits])
-                for q in range(nb)]
-
-    edges_f = build("src")
-    if edges_f is None:          # empty graph: no nodes, no state
-        empty = [ray.put(ray.get(_sc_init.remote()))] * nb
-        return empty, [ray.put(_EMPTY_EDGE)] * nb, \
-            [ray.put(_EMPTY_EDGE)] * nb, nb
-    edges_bwd = build("dst")
-
+    """Shared core: returns (labels_b, edges_f_b) — per-bucket
+    (url, scc) rows and the src-keyed edge copy."""
+    links = links.materialize()
+    edges_f = partition(links, num_buckets, "key",
+                        (("key", src_col), ("recv", dst_col)), _KEY_RECV)
+    edges_bwd = partition(links, num_buckets, "key",
+                          (("key", dst_col), ("recv", src_col)), _KEY_RECV)
     # nodes from the F copy (key=src, recv=dst covers all endpoints)
-    @ray.remote
-    def emit_nodes(nb2: int, e: pa.Table):
-        t = pa.table({"src": e["key"], "dst": e["recv"]})
-        u = pa.concat_arrays([t["src"].combine_chunks(),
-                              t["dst"].combine_chunks()])
-        out = _slice_by_hash(pa.table({"url": u}), "url", nb2)
-        return out[0] if nb2 == 1 else tuple(out)
-
-    node_slices = [emit_nodes.options(num_returns=nb).remote(nb, e)
-                   for e in edges_f]
-    if nb == 1:
-        node_slices = [[s] for s in node_slices]
-    state_b = [_sc_init.remote(*[ns[p] for ns in node_slices])
-               for p in range(nb)]
-
+    state_b = vertices(edges_f, _sc_init, ("key", "recv"))
     for _ in range(max_rounds):
-        state_b = [_sc_reset.remote(s) for s in state_b]
-        state_b = _fixpoint(nb, edges_f, state_b, "f")
-        state_b = _fixpoint(nb, edges_bwd, state_b, "b")
-        outs = [_sc_assign_refine.options(num_returns=2).remote(s)
-                for s in state_b]
+        state_b = _fixpoint(edges_f, state_b, "f")
+        state_b = _fixpoint(edges_bwd, state_b, "b")
+        outs = gather(_sc_assign_refine, state_b, returns=2)
         state_b = [o[0] for o in outs]
         if sum(ray.get([o[1] for o in outs])) == 0:
-            return state_b, edges_f, edges_bwd, nb
+            return gather(_sc_final, state_b), edges_f
     raise RuntimeError("scc: partition refinement did not converge "
                        "in %d rounds" % max_rounds)
 
@@ -373,11 +233,10 @@ def strongly_connected(links: ray.data.Dataset, *,
     smallest url in the node's strongly connected component (the
     deterministic canonical label). See the module docstring for the
     forward-backward min-label partition-refinement dataflow."""
-    state_b, _, _, _ = _scc_state(links, num_buckets=num_buckets,
-                                  src_col=src_col, dst_col=dst_col,
-                                  max_rounds=max_rounds)
-    return ray.data.from_arrow_refs(
-        [_sc_final.remote(s) for s in state_b])
+    labels_b, _ = _scc_state(links, num_buckets=num_buckets,
+                             src_col=src_col, dst_col=dst_col,
+                             max_rounds=max_rounds)
+    return ray.data.from_arrow_refs(labels_b)
 
 
 # --------------------------------------------------------------------------
@@ -389,35 +248,27 @@ _EMPTY_FLAGS = pa.table({"lbl": pa.array([], pa.string()),
                          "bwd": pa.array([], pa.int8()),
                          "weak": pa.array([], pa.int8())})
 
+_COND_SCHEMA = pa.schema([("s_scc", pa.string()), ("d_scc", pa.string())])
 
-@ray.remote
-def _bt_edges_local(edges: pa.Table, state: pa.Table, nb: int):
-    """F-copy edge bucket (key=src co-located with state): attach
+
+def _bt_edges_local(nb: int, edges: pa.Table, state: pa.Table):
+    """F-copy edge bucket (key=src co-located with its labels): attach
     scc(src), route by hash(dst) for the dst-side attach."""
-    sch = pa.schema([("s_scc", pa.string()), ("dst", pa.string())])
-    if edges.num_rows == 0 or state.num_rows == 0:
-        out = [sch.empty_table()] * nb
-        return out[0] if nb == 1 else tuple(out)
     urls = state["url"].combine_chunks().to_numpy(zero_copy_only=False)
     scc = state["scc"].combine_chunks().to_numpy(zero_copy_only=False)
     key = edges["key"].combine_chunks().to_numpy(zero_copy_only=False)
-    idx = np.minimum(np.searchsorted(urls, key), len(urls) - 1)
+    idx = np.searchsorted(urls, key)
     t = pa.table({"s_scc": pa.array(scc[idx], pa.string()),
-                  "dst": edges["recv"]})
-    out = _slice_by_hash(t, "dst", nb)
-    return out[0] if nb == 1 else tuple(out)
+                  "dst": edges["recv"].cast(pa.string())})
+    return split_by_hash(t, "dst", nb)
 
 
-@ray.remote
-def _bt_edges_cond(state: pa.Table, nb: int, *parts: pa.Table):
+def _bt_edges_cond(nb: int, state: pa.Table, parts: list):
     """Attach scc(dst), emit distinct condensation edges
     (s_scc != d_scc), routed by hash(s_scc) — the flag-scatter key."""
-    sch = pa.schema([("s_scc", pa.string()), ("d_scc", pa.string())])
-    live = [t for t in parts if t.num_rows]
-    if not live or state.num_rows == 0:
-        out = [sch.empty_table()] * nb
-        return out[0] if nb == 1 else tuple(out)
-    t = pa.concat_tables(live, promote_options="permissive")
+    t = concat(parts)
+    if not t.num_rows:
+        return [_COND_SCHEMA.empty_table()] * nb
     urls = state["url"].combine_chunks().to_numpy(zero_copy_only=False)
     scc = state["scc"].combine_chunks().to_numpy(zero_copy_only=False)
     dst = t["dst"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -429,32 +280,12 @@ def _bt_edges_cond(state: pa.Table, nb: int, *parts: pa.Table):
 
     ct = pl.DataFrame({"s_scc": s_scc[keep],
                        "d_scc": d_scc[keep]}).unique().to_arrow() \
-        .cast(sch)
-    out = _slice_by_hash(ct, "s_scc", nb)
-    return out[0] if nb == 1 else tuple(out)
+        .cast(_COND_SCHEMA)
+    return split_by_hash(ct, "s_scc", nb)
 
 
-@ray.remote
-def _bt_cond_bucket(*parts: pa.Table) -> pa.Table:
-    """One condensation bucket: distinct edges sorted by s_scc."""
-    sch = pa.schema([("s_scc", pa.string()), ("d_scc", pa.string())])
-    live = [t for t in parts if t.num_rows]
-    if not live:
-        return sch.empty_table()
-    import polars as pl
-
-    t = pa.concat_tables(live, promote_options="permissive")
-    return (pl.from_arrow(t).unique().sort(["s_scc", "d_scc"])
-            .to_arrow().cast(sch))
-
-
-@ray.remote
-def _bt_scc_sizes(state: pa.Table, nb: int):
+def _bt_scc_sizes(nb: int, state: pa.Table):
     """Per-bucket (scc, n) partials routed by hash(scc)."""
-    sch = pa.schema([("lbl", pa.string()), ("n", pa.int64())])
-    if state.num_rows == 0:
-        out = [sch.empty_table()] * nb
-        return out[0] if nb == 1 else tuple(out)
     scc = state["scc"].combine_chunks().to_numpy(zero_copy_only=False)
     order = np.argsort(scc)
     s = scc[order]
@@ -464,17 +295,14 @@ def _bt_scc_sizes(state: pa.Table, nb: int):
     n = np.diff(np.r_[st, len(s)]).astype(np.int64)
     t = pa.table({"lbl": pa.array(s[st], pa.string()),
                   "n": pa.array(n, pa.int64())})
-    out = _slice_by_hash(t, "lbl", nb)
-    return out[0] if nb == 1 else tuple(out)
+    return split_by_hash(t, "lbl", nb)
 
 
-@ray.remote
-def _bt_best(*parts: pa.Table):
+def _bt_best(parts: list):
     """One scc-bucket's candidate core: (max total n, min lbl)."""
-    live = [t for t in parts if t.num_rows]
-    if not live:
+    t = concat(parts)
+    if not t.num_rows:
         return None
-    t = pa.concat_tables(live, promote_options="permissive")
     lbl = t["lbl"].combine_chunks().to_numpy(zero_copy_only=False)
     n = t["n"].to_numpy(zero_copy_only=False)
     order = np.argsort(lbl)
@@ -488,16 +316,14 @@ def _bt_best(*parts: pa.Table):
     return int(-cand[0]), cand[1]
 
 
-@ray.remote
-def _bt_flags_init(core: str, nb: int, *lbl_parts: pa.Table) -> pa.Table:
+def _bt_flags_init(core: str, lbl_parts: list) -> pa.Table:
     """Distinct condensation nodes of one scc-bucket + seed flags."""
     import pyarrow.compute as pc
 
-    live = [t for t in lbl_parts if t.num_rows]
-    if not live:
+    t = concat(lbl_parts)
+    if not t.num_rows:
         return _EMPTY_FLAGS
-    u = pc.unique(pa.concat_arrays(
-        [t["lbl"].combine_chunks() for t in live])).cast(pa.string())
+    u = pc.unique(t["lbl"].combine_chunks()).cast(pa.string())
     un = u.to_numpy(zero_copy_only=False)
     order = np.argsort(un)
     u = u.take(pa.array(order))
@@ -507,51 +333,40 @@ def _bt_flags_init(core: str, nb: int, *lbl_parts: pa.Table) -> pa.Table:
                      "weak": pa.array(seed, pa.int8())})
 
 
-@ray.remote
-def _bt_flag_scatter(nb: int, edges: pa.Table, flags: pa.Table,
-                     by: str):
-    """by='s' (edges sorted by s_scc): s sends fwd/weak to d.
-    by='d' (edges sorted by d_scc): d sends bwd/weak to s."""
-    sch = pa.schema([("recv", pa.string()), ("fwd", pa.int8()),
-                     ("bwd", pa.int8()), ("weak", pa.int8())])
-    if edges.num_rows == 0 or flags.num_rows == 0:
-        out = [sch.empty_table()] * nb
-        return out[0] if nb == 1 else tuple(out)
+def _flag_msgs(edges: pa.Table, flags: pa.Table, key_col: str,
+               recv_col: str, flow: str) -> pa.Table:
+    """Senders (``key_col``) pass their ``flow`` flag and weak flag to
+    the ``recv_col`` endpoint."""
     lbl = flags["lbl"].combine_chunks().to_numpy(zero_copy_only=False)
-    key_col, recv_col = ("s_scc", "d_scc") if by == "s" \
-        else ("d_scc", "s_scc")
     key = edges[key_col].combine_chunks().to_numpy(zero_copy_only=False)
     idx = np.minimum(np.searchsorted(lbl, key), len(lbl) - 1)
-    ok = lbl[idx] == key
-    fwd = flags["fwd"].to_numpy(zero_copy_only=False)
-    bwd = flags["bwd"].to_numpy(zero_copy_only=False)
-    weak = flags["weak"].to_numpy(zero_copy_only=False)
-    if by == "s":
-        send = (fwd[idx] | weak[idx]).astype(bool) & ok
-        t = pa.table({
-            "recv": edges[recv_col].combine_chunks()
-            .filter(pa.array(send)),
-            "fwd": pa.array(fwd[idx][send], pa.int8()),
-            "bwd": pa.array(np.zeros(int(send.sum()), np.int8)),
-            "weak": pa.array(weak[idx][send], pa.int8())})
-    else:
-        send = (bwd[idx] | weak[idx]).astype(bool) & ok
-        t = pa.table({
-            "recv": edges[recv_col].combine_chunks()
-            .filter(pa.array(send)),
-            "fwd": pa.array(np.zeros(int(send.sum()), np.int8)),
-            "bwd": pa.array(bwd[idx][send], pa.int8()),
-            "weak": pa.array(weak[idx][send], pa.int8())})
-    out = _slice_by_hash(t, "recv", nb)
-    return out[0] if nb == 1 else tuple(out)
+    sent = {c: flags[c].to_numpy(zero_copy_only=False)[idx]
+            for c in (flow, "weak")}
+    send = (sent[flow] | sent["weak"]).astype(bool) & (lbl[idx] == key)
+    cols = {"recv": edges[recv_col].combine_chunks().filter(pa.array(send))}
+    for c in ("fwd", "bwd", "weak"):
+        v = sent[c][send] if c in sent else np.zeros(int(send.sum()))
+        cols[c] = pa.array(v.astype(np.int8), pa.int8())
+    return pa.table(cols)
 
 
-@ray.remote
-def _bt_flag_gather(flags: pa.Table, *msgs: pa.Table):
-    live = [t for t in msgs if t.num_rows]
-    if not live or flags.num_rows == 0:
+def _bt_flag_scatter(nb: int, by_s: pa.Table, by_d: pa.Table,
+                     flags: pa.Table):
+    """s sends fwd/weak to d over the s_scc-keyed copy; d sends
+    bwd/weak to s over the d_scc-keyed copy."""
+    if flags.num_rows == 0:
+        return [_EMPTY_FLAGS.rename_columns(["recv", "fwd", "bwd",
+                                             "weak"])] * nb
+    t = pa.concat_tables([
+        _flag_msgs(by_s, flags, "s_scc", "d_scc", "fwd"),
+        _flag_msgs(by_d, flags, "d_scc", "s_scc", "bwd")])
+    return split_by_hash(t, "recv", nb)
+
+
+def _bt_flag_gather(flags: pa.Table, msgs: list):
+    m = concat(msgs)
+    if not m.num_rows or flags.num_rows == 0:
         return flags, 0
-    m = pa.concat_tables(live, promote_options="permissive")
     lbl = flags["lbl"].combine_chunks().to_numpy(zero_copy_only=False)
     recv = m["recv"].combine_chunks().to_numpy(zero_copy_only=False)
     idx = np.minimum(np.searchsorted(lbl, recv), len(lbl) - 1)
@@ -568,14 +383,9 @@ def _bt_flag_gather(flags: pa.Table, *msgs: pa.Table):
     return pa.table({"lbl": flags["lbl"], **out}), changed
 
 
-@ray.remote
-def _bt_classify(core: str, flags: pa.Table, nb: int):
-    """(scc label -> component), routed by hash(lbl) for the url join
-    (already keyed that way — identity route)."""
-    if flags.num_rows == 0:
-        t = pa.table({"lbl": pa.array([], pa.string()),
-                      "component": pa.array([], pa.string())})
-        return t
+def _bt_classify(core: str, flags: pa.Table) -> pa.Table:
+    """(scc label -> component), keyed by hash(lbl) like the url rows
+    routed for the join."""
     lbl = flags["lbl"].combine_chunks().to_numpy(zero_copy_only=False)
     fwd = flags["fwd"].to_numpy(zero_copy_only=False).astype(bool)
     bwd = flags["bwd"].to_numpy(zero_copy_only=False).astype(bool)
@@ -589,16 +399,14 @@ def _bt_classify(core: str, flags: pa.Table, nb: int):
                      "component": pa.array(comp, pa.string())})
 
 
-@ray.remote
-def _bt_join_urls(comp: pa.Table, *url_parts: pa.Table) -> pa.Table:
+def _bt_join_urls(comp: pa.Table, url_parts: list) -> pa.Table:
     """(url, scc) rows routed by hash(scc) + this bucket's component
     map -> (url, scc, component)."""
     sch = pa.schema([("url", pa.string()), ("scc", pa.string()),
                      ("component", pa.string())])
-    live = [t for t in url_parts if t.num_rows]
-    if not live:
+    t = concat(url_parts)
+    if not t.num_rows:
         return sch.empty_table()
-    t = pa.concat_tables(live, promote_options="permissive")
     lbl = comp["lbl"].combine_chunks().to_numpy(zero_copy_only=False)
     cmp_ = comp["component"].combine_chunks() \
         .to_numpy(zero_copy_only=False)
@@ -609,13 +417,6 @@ def _bt_join_urls(comp: pa.Table, *url_parts: pa.Table) -> pa.Table:
                            "component bucket")
     return pa.table({"url": t["url"], "scc": t["scc"],
                      "component": pa.array(cmp_[idx], pa.string())})
-
-
-@ray.remote
-def _bt_url_slices(state: pa.Table, nb: int):
-    t = pa.table({"url": state["url"], "scc": state["scc"]})
-    out = _slice_by_hash(t, "scc", nb)
-    return out[0] if nb == 1 else tuple(out)
 
 
 def bowtie(links: ray.data.Dataset, *, src_col: str = "src_url",
@@ -633,60 +434,23 @@ def bowtie(links: ray.data.Dataset, *, src_col: str = "src_url",
     small once cycles collapse), built with two narrow exchanges from
     the already-bucketed state — per-url rows move exactly twice
     (condense, classify-join)."""
-    state_b, edges_f, _, nb = _scc_state(
+    labels_b, edges_f = _scc_state(
         links, num_buckets=num_buckets, src_col=src_col,
         dst_col=dst_col, max_rounds=max_rounds)
 
-    # condensation edges (two attach hops), bucketed by s_scc
-    half = [_bt_edges_local.options(num_returns=nb).remote(
-        edges_f[q], state_b[q], nb) for q in range(nb)]
-    if nb == 1:
-        half = [[h] for h in half]
-    cond_s = [_bt_edges_cond.options(num_returns=nb).remote(
-        state_b[p], nb, *[half[q][p] for q in range(nb)])
-        for p in range(nb)]
-    if nb == 1:
-        cond_s = [[c] for c in cond_s]
-    cond_fwd = [_bt_cond_bucket.remote(*[cond_s[q][p]
-                                         for q in range(nb)])
-                for p in range(nb)]
-
-    # a d_scc-keyed copy for backward flag flow
-    @ray.remote
-    def reroute(e: pa.Table, nb2: int):
-        out = _slice_by_hash(e, "d_scc", nb2)
-        return out[0] if nb2 == 1 else tuple(out)
-
-    rr = [reroute.options(num_returns=nb).remote(e, nb)
-          for e in cond_fwd]
-    if nb == 1:
-        rr = [[r] for r in rr]
-
-    @ray.remote
-    def sort_by_d(*parts: pa.Table) -> pa.Table:
-        sch = pa.schema([("s_scc", pa.string()),
-                         ("d_scc", pa.string())])
-        live = [t for t in parts if t.num_rows]
-        if not live:
-            return sch.empty_table()
-        import polars as pl
-
-        t = pa.concat_tables(live, promote_options="permissive")
-        return (pl.from_arrow(t).sort(["d_scc", "s_scc"])
-                .to_arrow().cast(sch))
-
-    cond_bwd = [sort_by_d.remote(*[rr[q][p] for q in range(nb)])
-                for p in range(nb)]
+    # condensation edges (two attach hops): an s_scc-keyed copy for
+    # forward flag flow and a d_scc-keyed copy for backward flow
+    cond_s = scatter(_bt_edges_cond, labels_b,
+                     inbox=scatter(_bt_edges_local, edges_f, labels_b))
+    by_s = gather(partial(distinct, ("s_scc", "d_scc")), inbox=cond_s)
+    by_d = gather(partial(distinct, ("d_scc", "s_scc")),
+                  inbox=rehash(by_s, "d_scc"))
 
     # core = largest SCC (count desc, label asc): per-bucket partials,
     # per-bucket best, one driver reduce over nb candidates
-    sizes = [_bt_scc_sizes.options(num_returns=nb).remote(s, nb)
-             for s in state_b]
-    if nb == 1:
-        sizes = [[s] for s in sizes]
-    bests = ray.get([_bt_best.remote(*[sizes[q][p] for q in range(nb)])
-                     for p in range(nb)])
-    bests = [x for x in bests if x is not None]
+    sizes = scatter(_bt_scc_sizes, labels_b)
+    bests = [x for x in ray.get(gather(_bt_best, inbox=sizes))
+             if x is not None]
     if not bests:
         return ray.data.from_arrow(pa.table({
             "url": pa.array([], pa.string()),
@@ -695,20 +459,11 @@ def bowtie(links: ray.data.Dataset, *, src_col: str = "src_url",
     core = sorted(((-n, lbl) for n, lbl in bests))[0][1]
 
     # condensation node flags, seeded at the core
-    flags_b = [_bt_flags_init.remote(core, nb, *[sizes[q][p]
-                                                 for q in range(nb)])
-               for p in range(nb)]
+    flags_b = gather(partial(_bt_flags_init, core), inbox=sizes)
     for _ in range(max_flag_rounds):
-        ms = [_bt_flag_scatter.options(num_returns=nb).remote(
-            nb, cond_fwd[q], flags_b[q], "s") for q in range(nb)]
-        md = [_bt_flag_scatter.options(num_returns=nb).remote(
-            nb, cond_bwd[q], flags_b[q], "d") for q in range(nb)]
-        if nb == 1:
-            ms = [[m] for m in ms]
-            md = [[m] for m in md]
-        outs = [_bt_flag_gather.options(num_returns=2).remote(
-            flags_b[p], *[ms[q][p] for q in range(nb)],
-            *[md[q][p] for q in range(nb)]) for p in range(nb)]
+        outs = gather(_bt_flag_gather, flags_b,
+                      inbox=scatter(_bt_flag_scatter, by_s, by_d, flags_b),
+                      returns=2)
         flags_b = [o[0] for o in outs]
         if sum(ray.get([o[1] for o in outs])) == 0:
             break
@@ -716,17 +471,9 @@ def bowtie(links: ray.data.Dataset, *, src_col: str = "src_url",
         raise RuntimeError("bowtie: flag propagation did not converge "
                            "in %d rounds" % max_flag_rounds)
 
-    comp_b = [_bt_classify.remote(core, flags_b[p], nb)
-              for p in range(nb)]
-    url_slices = [_bt_url_slices.options(num_returns=nb).remote(s, nb)
-                  for s in state_b]
-    if nb == 1:
-        url_slices = [[u] for u in url_slices]
-    joined = [_bt_join_urls.remote(comp_b[p],
-                                   *[url_slices[q][p]
-                                     for q in range(nb)])
-              for p in range(nb)]
-    return ray.data.from_arrow_refs(joined)
+    comp_b = gather(partial(_bt_classify, core), flags_b)
+    return ray.data.from_arrow_refs(
+        gather(_bt_join_urls, comp_b, inbox=rehash(labels_b, "scc")))
 
 
 def with_intrahost_backlinks(links: ray.data.Dataset, *,

@@ -21,12 +21,13 @@ def _edges(pairs):
 def test_neighborhood_exact_chain_and_cycle():
     # chain a->b->c->d plus back-edge e->a: hand-computed balls
     ds = _edges([("a", "b"), ("b", "c"), ("c", "d"), ("e", "a")])
-    df = (neighborhood_function(ds, radius=3, num_buckets=4)
-          .to_pandas().set_index("url"))
     want = {"a": (4, 11), "b": (3, 9), "c": (2, 6), "d": (1, 0),
             "e": (4, 11)}
-    got = {u: (int(r.ball), int(r.h_num)) for u, r in df.iterrows()}
-    assert got == want
+    for nb in (4, 1):
+        df = (neighborhood_function(ds, radius=3, num_buckets=nb)
+              .to_pandas().set_index("url"))
+        got = {u: (int(r.ball), int(r.h_num)) for u, r in df.iterrows()}
+        assert got == want
 
 
 def test_neighborhood_radius_zero_and_dup_edges():
@@ -90,10 +91,12 @@ def test_distance_distribution_exact():
     from cdx_toolkit_ray.stages.balls import distance_distribution
 
     ds = _edges([("a", "b"), ("b", "c"), ("c", "d"), ("e", "a")])
-    df = (distance_distribution(ds, radius=3, num_buckets=4)
-          .to_pandas().set_index("d").n_pairs)
-    # d=0: 5 nodes; d=1: 4 edges; d=2: a->c, e->b, b->d; d=3: a->d, e->c
-    assert dict(df) == {0: 5, 1: 4, 2: 3, 3: 2}
+    for nb in (4, 1):
+        df = (distance_distribution(ds, radius=3, num_buckets=nb)
+              .to_pandas().set_index("d").n_pairs)
+        # d=0: 5 nodes; d=1: 4 edges; d=2: a->c, e->b, b->d;
+        # d=3: a->d, e->c
+        assert dict(df) == {0: 5, 1: 4, 2: 3, 3: 2}
 
 
 def test_graph_report_permille_values():
@@ -117,11 +120,12 @@ def test_greedy_seed_cover_hand_truth():
 
     # balls r2: a:{a,b,c} b:{b,c,d} c:{c,d} d:{d} e:{e,a,b}
     ds = _edges([("a", "b"), ("b", "c"), ("c", "d"), ("e", "a")])
-    got = (greedy_seed_cover(ds, k=3, radius=2, num_buckets=4)
-           .to_pandas().values.tolist())
     # round 1: tie a/b/e at 3 -> min url 'a'; round 2: b adds {d};
     # round 3: e adds {e}
-    assert got == [[1, "a", 3], [2, "b", 1], [3, "e", 1]]
+    for nb in (4, 1):
+        got = (greedy_seed_cover(ds, k=3, radius=2, num_buckets=nb)
+               .to_pandas().values.tolist())
+        assert got == [[1, "a", 3], [2, "b", 1], [3, "e", 1]]
     # early stop: k larger than needed ends when gain hits 0
     full = (greedy_seed_cover(ds, k=10, radius=2, num_buckets=2)
             .to_pandas())

@@ -162,6 +162,7 @@ def test_link_rank_matches_serial_fixed_point():
         "dst_url": pa.array([e[1] for e in edges], pa.string())}))
     df = link_rank(links, iterations=3, num_buckets=4).to_pandas()
     got = dict(zip(df["url"], df["rank"]))
+    one = link_rank(links, iterations=3, num_buckets=1).to_pandas()
 
     SCALE, BASE = 1_000_000, 150_000
     nodes = sorted({u for e in edges for u in e})
@@ -175,6 +176,7 @@ def test_link_rank_matches_serial_fixed_point():
             nxt[d] += (r[s] // deg[s]) * 85 // 100
         r = nxt
     assert got == r
+    assert dict(zip(one["url"], one["rank"])) == r
     assert df["rank"].dtype == np.int64
 
 
@@ -704,6 +706,7 @@ def test_trust_rank_matches_serial_and_demotes_unreachable():
         "dst_url": pa.array([e[1] for e in edges], pa.string())}))
     df = trust_rank(links, iterations=3, num_buckets=4).to_pandas()
     got = dict(zip(df["url"], df["trust"]))
+    one = trust_rank(links, iterations=3, num_buckets=1).to_pandas()
 
     SCALE, BASE = 1_000_000, 150_000
     nodes = sorted({u for e in edges for u in e})
@@ -719,6 +722,7 @@ def test_trust_rank_matches_serial_and_demotes_unreachable():
             nxt[d] += (r[s] // deg[s]) * 85 // 100
         r = nxt
     assert got == r
+    assert dict(zip(one["url"], one["trust"])) == r
     assert got["d"] == 0 and got["x"] == 0   # spam ring starved
     assert df["trust"].dtype == np.int64
 
@@ -759,10 +763,11 @@ def test_kcore_peel_triangle_plus_tail():
     links = ray.data.from_arrow(pa.table({
         "src_url": pa.array([e[0] for e in edges], pa.string()),
         "dst_url": pa.array([e[1] for e in edges], pa.string())}))
-    df = kcore_peel(links, k=2, rounds=3, num_buckets=4).to_pandas()
-    got = dict(zip(df["url"], df["in_core"]))
-    assert got == {"a": True, "b": True, "c": True,
-                   "d": False, "e": False}
+    for nb in (4, 1):
+        df = kcore_peel(links, k=2, rounds=3, num_buckets=nb).to_pandas()
+        got = dict(zip(df["url"], df["in_core"]))
+        assert got == {"a": True, "b": True, "c": True,
+                       "d": False, "e": False}
 
 
 def test_kcore_peel_needs_enough_rounds():
@@ -807,6 +812,7 @@ def test_opic_matches_serial_and_conserves_cash():
     df = opic(links, rounds=3, num_buckets=4).to_pandas()
     got = {r.url: (r.cash, r.hist, r.importance)
            for r in df.itertuples()}
+    one = opic(links, rounds=3, num_buckets=1).to_pandas()
 
     SCALE = 1_000_000
     nodes = sorted({u for e in edges for u in e})
@@ -827,6 +833,8 @@ def test_opic_matches_serial_and_conserves_cash():
                 cash[u] = cash[u] + recv[u]
     want = {u: (cash[u], hist[u], cash[u] + hist[u]) for u in nodes}
     assert got == want
+    assert {r.url: (r.cash, r.hist, r.importance)
+            for r in one.itertuples()} == want
     # cash conservation modulo floor-division remainders
     assert sum(v[0] for v in got.values()) <= len(nodes) * SCALE
 

@@ -19,11 +19,12 @@ def test_scc_cycle_chain_and_selfcontained():
     ds = _edges([("c1", "c2"), ("c2", "c3"), ("c3", "c1"),
                  ("in1", "c1"), ("c2", "out1"),
                  ("x1", "x2"), ("x2", "x1")])
-    scc = (strongly_connected(ds, num_buckets=4)
-           .to_pandas().set_index("url").scc)
-    assert scc.loc["c1"] == scc.loc["c2"] == scc.loc["c3"] == "c1"
-    assert scc.loc["x1"] == scc.loc["x2"] == "x1"
-    assert scc.loc["in1"] == "in1" and scc.loc["out1"] == "out1"
+    for nb in (4, 1):
+        scc = (strongly_connected(ds, num_buckets=nb)
+               .to_pandas().set_index("url").scc)
+        assert scc.loc["c1"] == scc.loc["c2"] == scc.loc["c3"] == "c1"
+        assert scc.loc["x1"] == scc.loc["x2"] == "x1"
+        assert scc.loc["in1"] == "in1" and scc.loc["out1"] == "out1"
 
 
 def test_scc_nested_dag_of_cycles():
@@ -42,6 +43,8 @@ def test_bowtie_components():
                  ("in1", "t3"), ("d1", "d2")])
     bt = bowtie(ds, num_buckets=4).to_pandas().set_index("url")
     comp = bt.component
+    one = bowtie(ds, num_buckets=1).to_pandas().set_index("url")
+    assert one.sort_index().equals(bt.sort_index())
     assert (comp.loc[["c1", "c2", "c3"]] == "SCC").all()
     assert comp.loc["in1"] == "IN"
     assert comp.loc["out1"] == "OUT"
