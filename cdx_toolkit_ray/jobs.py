@@ -87,8 +87,9 @@ def _bench_leg(args) -> dict:
     """One scaling leg in the CURRENT Ray session: the frontier job
     over the given seeds/robots tables, with per-stage timings.
 
-    Stage split: ``schedule`` = canonicalize + first-wins dedup +
-    robots gate + politeness slots (frontier_flow consumed);
+    Stage split: ``schedule`` = canonicalize + robots gate + the host
+    round's first-wins dedup and politeness slots (frontier_flow
+    consumed);
     ``ordered`` = the same plus the global crawl order (the headline —
     what urls_per_sec measures); ``resumable_write`` = the full
     run_frontier pass writing partitioned Parquet + lineage.

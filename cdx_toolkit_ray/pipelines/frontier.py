@@ -14,26 +14,25 @@ host with crawl-delay ``d`` ms happens at ``r*d`` ms — which makes the
 whole schedule a pure function of (seed list, robots table): exactly
 reproducible by a serial oracle, independent of execution parallelism.
 
-Dataflow (streaming up to the politeness exchange, then two direct
-task-graph exchanges, stages/exchange.py):
+Dataflow (one streaming pass, then two task-graph exchanges,
+stages/exchange.py):
 
-  read seeds ->
-  first_wins_dedup(derive_fn=canonicalize_batch)
-                                        # urlkey, hash64, host; exact
-                                        # dedup, winner = min (priority,
-                                        # seed_order); emits
-                                        # n_dup_dropped per winner
-  map_batches(robots gate)              # broadcast robots table via
-                                        # ray.put; flags, never drops
-  hash_bucket_apply(hash64(host) % B)   # politeness: host_rank,
-                                        # fetch_ms = rank * delay
-                                        # (frontier_flow ends here)
-  range_order(fetch_ms, priority, seed_order)
-                                        # global crawl order
-                                        # (crawl_order)
+  read seeds -> canonicalize_batch (urlkey, hash64, host; once per row)
+  -> robots gate (broadcast lookup; flags, never drops)
+  -> one host round: first-wins dedup per hash64 (winner = min
+     (priority, seed_order), n_dup_dropped), then politeness over the
+     winners (host_rank, fetch_ms = rank * delay)    [frontier_flow]
+  -> range_order(fetch_ms, priority, seed_order) of host_rank >= 0
+                                                      [crawl_order]
 
-Skew: a hot host lands in one politeness bucket; the bucket kernel is a
-vectorized lexsort (millions of rows/s), so the straggler cost is
+The round routes by ``hash64(host without ^www\\d*\\.)``: SURT duplicates
+and every row of a raw host share it. The urlkey's host part would
+split a host: it keeps non-default ports (``com,a:8080)``), ``host``
+does not. Gating before dedup flags the same rows (a row's flag depends
+only on its own host and url).
+
+Skew: a hot host lands in one host bucket; the bucket kernels are
+vectorized lexsorts (millions of rows/s), so the straggler cost is
 sort-bound, not Python-bound. For extreme skew ``num_salts > 1``
 splits each hot host into sub-queues by round-robin POSITION (not
 hash), preserving both the exact slot times and the per-host politeness
@@ -104,7 +103,8 @@ def _prefix_index(robots: dict) -> dict:
 def _robots_columns(batch: pa.Table, robots: dict, by_len: dict,
                     default_delay_ms: int):
     """The gate kernel shared by the broadcast and distributed paths:
-    (robots_blocked bool, crawl_delay_ms int64) per row, vectorized.
+    ``batch`` plus ``robots_blocked`` (bool) and ``crawl_delay_ms``
+    (int64) per row, vectorized.
 
     Path extraction parity with ``urlsplit(url).path or '/'`` for
     scheme://host urls: everything after the authority up to ``?``/
@@ -132,14 +132,12 @@ def _robots_columns(batch: pa.Table, robots: dict, by_len: dict,
             pl.when(pl.col("path").is_null() | (pl.col("path") == ""))
             .then(pl.lit("/")).otherwise(pl.col("path")).alias("path"))
         blk = np.zeros(cand.size, dtype=bool)
-        key = df["host"] + "\0" + df["path"]
         for ln, keys in by_len.items():
             trunc = df["host"] + "\0" + df["path"].str.slice(0, ln)
             blk |= trunc.is_in(list(keys)).to_numpy()
-            del trunc
-        del key
         blocked[cand] = blk
-    return blocked, delays
+    return batch.append_column("robots_blocked", pa.array(blocked)) \
+        .append_column("crawl_delay_ms", pa.array(delays, pa.int64()))
 
 
 def make_robots_gate(robots_ref, default_delay_ms: int = DEFAULT_DELAY_MS):
@@ -161,19 +159,14 @@ def make_robots_gate(robots_ref, default_delay_ms: int = DEFAULT_DELAY_MS):
         if key not in _derived:
             _derived.clear()
             _derived[key] = _prefix_index(robots)
-        blocked, delays = _robots_columns(batch, robots, _derived[key],
-                                          default_delay_ms)
-        batch = batch.append_column("robots_blocked", pa.array(blocked))
-        batch = batch.append_column("crawl_delay_ms",
-                                    pa.array(delays, pa.int64()))
-        return batch
+        return _robots_columns(batch, robots, _derived[key],
+                               default_delay_ms)
 
     return robots_gate
 
 
 def robots_gate_distributed(ds: ray.data.Dataset, robots_path: str, *,
-                            default_delay_ms: int = DEFAULT_DELAY_MS,
-                            num_partitions: int | None = None
+                            default_delay_ms: int = DEFAULT_DELAY_MS
                             ) -> ray.data.Dataset:
     """The scale path for an over-budget robots table: a distributed
     LEFT OUTER hash join on ``host`` (both sides move once, nothing on
@@ -183,8 +176,6 @@ def robots_gate_distributed(ds: ray.data.Dataset, robots_path: str, *,
     kernel builds its per-batch prefix index from exactly those."""
     from ..stages.dedup import default_join_partitions
 
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
     robots = ray.data.read_parquet(
         robots_path, columns=["host", "crawl_delay_ms", "disallow"])
 
@@ -203,7 +194,8 @@ def robots_gate_distributed(ds: ray.data.Dataset, robots_path: str, *,
 
     robots = robots.map_batches(pack, batch_format="pyarrow",
                                 batch_size=None)
-    joined = ds.join(robots, "left_outer", num_partitions, on=("host",))
+    joined = ds.join(robots, "left_outer", default_join_partitions(),
+                     on=("host",))
 
     def gate(batch: pa.Table) -> pa.Table:
         hosts = batch["host"].to_numpy(zero_copy_only=False)
@@ -222,13 +214,9 @@ def robots_gate_distributed(ds: ray.data.Dataset, robots_path: str, *,
                 prefixes = tuple(p for p in (dis[i] or "").split("\x00")
                                  if p)
                 robots_b[h] = (int(v), prefixes)
-        blocked, delays = _robots_columns(
-            batch, robots_b, _prefix_index(robots_b), default_delay_ms)
-        batch = batch.drop_columns(["_r_delay", "_r_disallow"])
-        batch = batch.append_column("robots_blocked", pa.array(blocked))
-        batch = batch.append_column("crawl_delay_ms",
-                                    pa.array(delays, pa.int64()))
-        return batch
+        return _robots_columns(
+            batch.drop_columns(["_r_delay", "_r_disallow"]), robots_b,
+            _prefix_index(robots_b), default_delay_ms)
 
     return joined.map_batches(gate, batch_format="pyarrow")
 
@@ -290,14 +278,18 @@ def make_bucket_scheduler(num_salts: int = 1,
     return bucket_slots
 
 
-def _add_host_bucket(num_buckets: int):
-    """map_batches fn: ``host_bucket = hash64(host) % num_buckets``
-    (replacing any existing ``host_bucket``), so every row of a host
-    lands in one bucket."""
+def _add_host_bucket(num_buckets: int, strip_www: bool = False):
+    """map_batches fn: (re)set ``host_bucket = hash64(host) %
+    num_buckets``, so a host lands in one bucket; ``strip_www`` hashes
+    the host without ``^www\\d*\\.`` (the route, module docstring)."""
     from ..canon import hash64_batch
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        hb = hash64_batch(batch["host"]) % np.uint64(num_buckets)
+        host = batch["host"]
+        if strip_www:
+            host = pa.compute.replace_substring_regex(host, r"^www\d*\.",
+                                                      "")
+        hb = hash64_batch(host) % np.uint64(num_buckets)
         if "host_bucket" in batch.column_names:
             batch = batch.drop_columns(["host_bucket"])
         return batch.append_column(
@@ -306,32 +298,50 @@ def _add_host_bucket(num_buckets: int):
     return add_bucket
 
 
-def schedule_politeness(ds: ray.data.Dataset, *, num_salts: int = 1,
-                        connections: int = 1) -> ray.data.Dataset:
-    """Politeness scheduling as ONE hash exchange
-    (``stages/exchange.hash_bucket_apply``): rows are bucketed by
-    ``hash64(host) % B`` (every row of a host lands in one bucket, so
-    per-host slots stay exact) and each bucket is ranked by
-    :func:`make_bucket_scheduler`. Every row is kept, blocked ones
-    included (``host_rank = -1``), so counters can see them.
-
-    ``B = min(64, max(8, 2 * cpus))``: split tasks emit B objects EACH,
-    so the bucket count grows with the cluster (64 buckets at 2 CPUs is
-    ~2k tiny plasma objects whose fixed scheduling cost dwarfs the
-    kernel work)."""
+def _host_round(ds: ray.data.Dataset, kern) -> ray.data.Dataset:
+    """ONE ``hash_bucket_apply`` exchange routed by the ``www``-stripped
+    host, running ``kern`` over each bucket. ``B = min(64, max(8, 2 *
+    cpus))``: split tasks emit B objects EACH (64 buckets at 2 CPUs is
+    ~2k tiny plasma objects whose fixed cost dwarfs the kernel work)."""
     from ..stages.exchange import _cluster_cpus, hash_bucket_apply
 
     num_buckets = min(64, max(8, 2 * _cluster_cpus()))
-    kern = make_bucket_scheduler(num_salts, connections)
-
-    def merge(t: pa.Table) -> pa.Table:
-        return kern(t.drop_columns(["host_bucket"]))
-
-    tagged = ds.map_batches(_add_host_bucket(num_buckets),
+    tagged = ds.map_batches(_add_host_bucket(num_buckets, strip_www=True),
                             batch_format="pyarrow", batch_size=None,
                             zero_copy_batch=True)
-    return hash_bucket_apply(tagged, "host_bucket", merge,
+    return hash_bucket_apply(tagged, "host_bucket",
+                             lambda t: kern(t.drop_columns(["host_bucket"])),
                              num_buckets=num_buckets)
+
+
+def schedule_politeness(ds: ray.data.Dataset, *, num_salts: int = 1,
+                        connections: int = 1) -> ray.data.Dataset:
+    """Politeness as ONE :func:`_host_round` of
+    :func:`make_bucket_scheduler`; blocked rows stay (``host_rank=-1``)."""
+    return _host_round(ds, make_bucket_scheduler(num_salts, connections))
+
+
+def dedup_schedule(ds: ray.data.Dataset, *, num_salts: int = 1,
+                   connections: int = 1) -> ray.data.Dataset:
+    """First-wins dedup, then politeness over the winners, of a
+    canonicalized, robots-gated Dataset in ONE :func:`_host_round`
+    (SURT duplicates share a route, so per-bucket dedup is exact)."""
+    schedule = make_bucket_scheduler(num_salts, connections)
+    return _host_round(ds, lambda t: schedule(_first_wins(t)))
+
+
+def _first_wins(t: pa.Table) -> pa.Table:
+    """Exact first-wins dedup of one table (one lexsort): per ``hash64``,
+    the row with the smallest ``(priority, seed_order)``, with
+    ``n_dup_dropped`` = the number of other rows of that ``hash64``."""
+    keys = [t[c].to_numpy(zero_copy_only=False)
+            for c in ("seed_order", "priority", "hash64")]
+    order = np.lexsort(keys)
+    h = keys[-1][order]
+    starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]][:len(h)])
+    runs = np.diff(np.append(starts, len(h)))
+    return t.take(pa.array(order[starts])).append_column(
+        "n_dup_dropped", pa.array(runs - 1, pa.int64()))
 
 
 #: the global crawl order: the virtual clock, ties broken
@@ -342,10 +352,12 @@ CRAWL_ORDER = ("fetch_ms", "priority", "seed_order")
 def crawl_order(flow: ray.data.Dataset) -> ray.data.Dataset:
     """Global crawl order: schedulable rows (``host_rank >= 0``)
     ordered by :data:`CRAWL_ORDER` in one range exchange
-    (``stages/exchange.range_order``)."""
+    (``stages/exchange.range_order``, which drops the other rows inside
+    its own tasks)."""
     from ..stages.exchange import range_order
 
-    return range_order(flow.filter(expr="host_rank >= 0"), CRAWL_ORDER)
+    return range_order(flow, CRAWL_ORDER, where=lambda t: t.filter(
+        pa.compute.greater_equal(t["host_rank"], 0)))
 
 
 def scheduled_crawl_order(flow: ray.data.Dataset, *,
@@ -362,13 +374,12 @@ ROBOTS_BROADCAST_BUDGET_BYTES = 128 << 20
 
 
 def frontier_flow(seeds_path: str, robots_path: str, *,
-                  concurrency: int | None = None,
                   num_salts: int = 1,
-                  dedup_partitions: int | None = None,
                   robots_budget_bytes: int = ROBOTS_BROADCAST_BUDGET_BYTES
                   ) -> ray.data.Dataset:
-    """Build the frontier Dataset: all rows, flagged + scheduled. The
-    politeness exchange executes eagerly, so this runs the pipeline.
+    """Build the frontier Dataset: the dedup winners, flagged +
+    scheduled. The host exchange executes eagerly, so this runs the
+    pipeline.
 
     Robots state auto-selects: a robots table under
     ``robots_budget_bytes`` on disk is ``ray.put`` once and looked up
@@ -378,43 +389,27 @@ def frontier_flow(seeds_path: str, robots_path: str, *,
     """
     ds = ray.data.read_parquet(seeds_path)
     if os.path.getsize(robots_path) > robots_budget_bytes:
-        return frontier_flow_from(ds, robots_path, num_salts=num_salts,
-                                  dedup_partitions=dedup_partitions)
+        return frontier_flow_from(ds, robots_path, num_salts=num_salts)
     robots_ref = ray.put(load_robots(robots_path))
-    return frontier_flow_from(ds, robots_ref, num_salts=num_salts,
-                              dedup_partitions=dedup_partitions)
+    return frontier_flow_from(ds, robots_ref, num_salts=num_salts)
 
 
 def frontier_flow_from(ds: ray.data.Dataset, robots_ref, *,
-                       num_salts: int = 1,
-                       dedup_partitions: int | None = None) -> ray.data.Dataset:
+                       num_salts: int = 1) -> ray.data.Dataset:
     """Frontier over an arbitrary seeds Dataset (url, priority,
     seed_order [+ payload cols]); ``robots_ref`` is a ``ray.put``
     handle to the ``load_robots`` dict (or the dict itself), or a
     robots-table PATH string — the path routes through the distributed
-    host-keyed join instead of a broadcast.
-
-    Stateless task pools (elastic, no CPU reservation): canonicalize is
-    pure compute, robots a broadcast lookup. Dedup is the vectorized
-    aggregate+join ``first_wins_dedup`` (per-group Python would die at
-    frontier scale); politeness is one host-hash exchange
-    (``schedule_politeness``).
-    """
-    from ..stages.dedup import first_wins_dedup
-
-    # canonicalization enters dedup as derive_fn: the winner pass runs
-    # it over all rows once; the filter pass matches raw sortkeys and
-    # canonicalizes only survivors (dedup.py first_wins_dedup).
-    ds = first_wins_dedup(ds, "hash64",
-                          [("priority", 19), ("seed_order", 44)],
-                          num_partitions=dedup_partitions,
-                          derive_fn=canonicalize_batch)
+    host-keyed join instead of a broadcast. One streaming pass
+    (canonicalize, robots gate) feeds :func:`dedup_schedule`."""
+    ds = ds.map_batches(canonicalize_batch, batch_format="pyarrow",
+                        batch_size=None, zero_copy_batch=True)
     if isinstance(robots_ref, str):
         ds = robots_gate_distributed(ds, robots_ref)
     else:
         ds = ds.map_batches(make_robots_gate(robots_ref), batch_size=None,
                             batch_format="pyarrow")
-    return schedule_politeness(ds, num_salts=num_salts)
+    return dedup_schedule(ds, num_salts=num_salts)
 
 
 def host_counters(flow: ray.data.Dataset) -> ray.data.Dataset:

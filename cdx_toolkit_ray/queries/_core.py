@@ -27,17 +27,11 @@ def q_exact_dedup(sf_dir: str):
 def q_frontier_schedule(sf_dir: str):
     """Flagship north_rule pipeline: canonicalize -> first-wins dedup ->
     per-host politeness slots + global crawl order via the direct
-    task-graph exchange (pipelines/frontier.scheduled_crawl_order —
-    the same path bench.py times)."""
-    from ..pipelines.frontier import scheduled_crawl_order
+    task-graph exchange (the frontier_flow path: one host round, then
+    pipelines/frontier.crawl_order)."""
+    from ..pipelines.frontier import crawl_order
 
-    ds = derived_seeds(sf_dir)
-    ds = first_wins_dedup(ds, "hash64",
-                          [("priority", 19), ("seed_order", 44)],
-                          derive_fn=canonicalize_batch)
-    ds = ds.map_batches(_add_false_robots, batch_format="pyarrow",
-                        batch_size=None)
-    ds = scheduled_crawl_order(ds)
+    ds = crawl_order(_frontier_over_seeds(sf_dir))
     return ds.select_columns(["urlkey", "host", "priority", "seed_order",
                               "n_dup_dropped", "host_rank", "fetch_ms"])
 
@@ -592,7 +586,7 @@ def q_adaptive_schedule(sf_dir: str):
     — the feedback loop a production crawler closes every cycle. The
     delay LUT broadcasts once as two sorted arrays (O(hosts) worker
     state); schedule semantics and the exchange path are unchanged."""
-    from ..pipelines.frontier import scheduled_crawl_order
+    from ..pipelines.frontier import crawl_order
     from ..stages.hosts import (adaptive_delays, host_quality_stats,
                                replace_delays)
 
@@ -603,15 +597,11 @@ def q_adaptive_schedule(sf_dir: str):
     delays = adaptive_delays(host_quality_stats(obs, host_col="host",
                                                 score_col="score"))
 
-    ds = derived_seeds(sf_dir)
-    ds = first_wins_dedup(ds, "hash64",
-                          [("priority", 19), ("seed_order", 44)],
-                          derive_fn=canonicalize_batch)
-    ds = ds.map_batches(_add_false_robots, batch_format="pyarrow",
-                        batch_size=None)
+    ds = derived_seeds(sf_dir).map_batches(
+        _canon_allow_all, batch_format="pyarrow", batch_size=None)
     ds = replace_delays(ds, delays, host_col="host",
                         delay_col="crawl_delay_ms")
-    ds = scheduled_crawl_order(ds)
+    ds = crawl_order(dedup_schedule(ds))
     return ds.select_columns(["urlkey", "host", "priority",
                               "seed_order", "n_dup_dropped",
                               "host_rank", "fetch_ms"])
@@ -1094,7 +1084,7 @@ def q_frontier_hygiene(sf_dir: str):
     multiples of 13); cleaning provably restores the seed formula, so
     the oracle is the frontier_schedule SQL over the non-spam seeds —
     five stages, one hash."""
-    from ..pipelines.frontier import scheduled_crawl_order
+    from ..pipelines.frontier import crawl_order
     from ..stages.urlfeat import spam_url_gate, strip_dot_segments
     from ..stages.urlfeat import strip_tracking_params
 
@@ -1151,12 +1141,9 @@ def q_frontier_hygiene(sf_dir: str):
     # fixture carries by design
     ds = ds.map_batches(spam_url_gate(max_digits=1 << 30),
                         batch_format="pyarrow", batch_size=None)
-    ds = first_wins_dedup(ds, "hash64",
-                          [("priority", 19), ("seed_order", 44)],
-                          derive_fn=canonicalize_batch)
-    ds = ds.map_batches(_add_false_robots, batch_format="pyarrow",
+    ds = ds.map_batches(_canon_allow_all, batch_format="pyarrow",
                         batch_size=None)
-    ds = scheduled_crawl_order(ds)
+    ds = crawl_order(dedup_schedule(ds))
     return ds.select_columns(["urlkey", "host", "priority", "seed_order",
                               "n_dup_dropped", "host_rank", "fetch_ms"])
 
@@ -1606,16 +1593,10 @@ def q_fetch_sessions(sf_dir: str):
     the user key and fetch_ms as the clock. Hosts with a 6 s crawl
     delay split every fetch; 550/1000/3000 ms hosts batch up."""
     from ..canon import hash64_batch
-    from ..pipelines.frontier import scheduled_crawl_order
+    from ..pipelines.frontier import crawl_order
     from ..stages.sessions import sessionize
 
-    ds = derived_seeds(sf_dir)
-    ds = first_wins_dedup(ds, "hash64",
-                          [("priority", 19), ("seed_order", 44)],
-                          derive_fn=canonicalize_batch)
-    ds = ds.map_batches(_add_false_robots, batch_format="pyarrow",
-                        batch_size=None)
-    sched = scheduled_crawl_order(ds)
+    sched = crawl_order(_frontier_over_seeds(sf_dir))
 
     def keyed(batch: pa.Table) -> pa.Table:
         hk = (hash64_batch(batch["host"]) >> np.uint64(1)) \
@@ -1887,15 +1868,7 @@ def q_parallel_politeness(sf_dir: str):
     ``fetch_ms = (rank // 3) * delay`` — so host wall-clock shrinks 3x
     while the per-connection interval invariant holds. Oracle: the
     frontier window SQL with the floored-rank slot formula."""
-    from ..pipelines.frontier import schedule_politeness
-
-    ds = derived_seeds(sf_dir)
-    ds = first_wins_dedup(ds, "hash64",
-                          [("priority", 19), ("seed_order", 44)],
-                          derive_fn=canonicalize_batch)
-    ds = ds.map_batches(_add_false_robots, batch_format="pyarrow",
-                        batch_size=None)
-    ds = schedule_politeness(ds, connections=3)
+    ds = _frontier_over_seeds(sf_dir, connections=3)
     return ds.select_columns(["urlkey", "host", "host_rank",
                               "fetch_ms"])
 

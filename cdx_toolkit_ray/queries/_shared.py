@@ -32,8 +32,8 @@ import ray.data
 from ..canon import canonicalize_batch
 from ..filters import FilterStage
 from ..pipelines.frontier import (
+    dedup_schedule,
     host_counters,
-    schedule_politeness,
 )
 from ..sources.captures import LINES_PER_PAGE, pages_to_samples
 from ..stages.dedup import (
@@ -124,15 +124,19 @@ def _add_false_robots(batch: pa.Table) -> pa.Table:
         "robots_blocked", pa.array(np.zeros(batch.num_rows, dtype=bool)))
 
 
-def _frontier_over_seeds(sf_dir: str) -> ray.data.Dataset:
-    """seeds -> canonicalize-in-dedup -> first-wins -> politeness."""
-    ds = derived_seeds(sf_dir)
-    ds = first_wins_dedup(ds, "hash64",
-                          [("priority", 19), ("seed_order", 44)],
-                          derive_fn=canonicalize_batch)
-    ds = ds.map_batches(_add_false_robots, batch_format="pyarrow",
-                        batch_size=None)
-    return schedule_politeness(ds)
+def _canon_allow_all(batch: pa.Table) -> pa.Table:
+    """``canonicalize_batch`` plus the all-allow robots gate (the
+    derived seeds carry their own ``crawl_delay_ms``)."""
+    return _add_false_robots(canonicalize_batch(batch))
+
+
+def _frontier_over_seeds(sf_dir: str, *,
+                         connections: int = 1) -> ray.data.Dataset:
+    """seeds -> canonicalize + gate -> one host round: first-wins dedup,
+    then politeness (pipelines/frontier.dedup_schedule)."""
+    ds = derived_seeds(sf_dir).map_batches(
+        _canon_allow_all, batch_format="pyarrow", batch_size=None)
+    return dedup_schedule(ds, connections=connections)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,23 @@ def zipnum_lookup(out_dir: str, *, urlkey: str | None = None,
     return ray.data.from_arrow_refs(refs)
 
 
+def _head(ds: ray.data.Dataset, limit: int) -> ray.data.Dataset:
+    """The first ``limit`` rows of ``ds``, cut from its materialized
+    blocks in order by their row counts (the last one sliced). Unlike
+    ``Dataset.limit``'s early stop, nothing in flight is cancelled."""
+    mat = ds.materialize()
+    refs, left = [], limit
+    for ref, meta in (blk for bundle in mat.iter_internal_ref_bundles()
+                      for blk in bundle.blocks):
+        if left <= 0 and refs:
+            break
+        if meta.num_rows > left:
+            ref = ray.put(ray.get(ref).slice(0, max(left, 0)))
+        refs.append(ref)
+        left -= meta.num_rows
+    return ray.data.from_arrow_refs(refs) if refs else mat
+
+
 def query_zipnum(index_dir: str, url: str | None = None, *,
                  fields: list[str] | None = None,
                  stats: dict | None = None,
@@ -363,7 +380,7 @@ def query_zipnum(index_dir: str, url: str | None = None, *,
         if fields:
             ds = ds.select_columns(fields)
         if limit is not None:
-            ds = ds.limit(int(limit))
+            ds = _head(ds, int(limit))
     finally:
         exec_opts.preserve_order = saved
     return ds
@@ -437,9 +454,11 @@ def query_zipnum_multi(root_dir: str, url: str | None = None, *,
     ``root_dir``, walked in cc_sort order ('mixed' = newest crawl
     first, rows ascending within each — the reference's O2 ordering
     contract) and concatenated as a single stream. Each crawl's
-    lookup prunes through its own cluster.idx; ``limit`` early-stops
-    across the union (the reference's cross-endpoint limit decrement,
-    A2)."""
+    lookup prunes through its own cluster.idx; ``limit`` is the
+    reference's cross-endpoint limit decrement (A2): each crawl gets
+    what earlier crawls left of it, and crawls after the limit is met
+    are not looked up at all (no task is started, so none is
+    cancelled)."""
     limit = kwargs.pop("limit", None)
     crawls = list_zipnum_crawls(root_dir)
     if not crawls:
@@ -452,18 +471,21 @@ def query_zipnum_multi(root_dir: str, url: str | None = None, *,
     saved = exec_opts.preserve_order
     exec_opts.preserve_order = True
     try:
-        parts = []
-        for i, d in enumerate(crawls):
+        parts, left = [], None if limit is None else int(limit)
+        for d in crawls:
+            if parts and left is not None and left <= 0:
+                break
             st = {} if stats is not None else None
-            parts.append(query_zipnum(d, url, fields=fields, stats=st,
-                                      **dict(kwargs)))
+            part = query_zipnum(d, url, fields=fields, stats=st,
+                                limit=left, **kwargs)
+            if left is not None:
+                left -= part.count()  # block metadata of the cut
+            parts.append(part)
             if stats is not None:
                 stats[os.path.basename(d)] = st
         ds = parts[0]
         for p in parts[1:]:
             ds = ds.union(p)
-        if limit is not None:
-            ds = ds.limit(int(limit))
     finally:
         exec_opts.preserve_order = saved
     return ds

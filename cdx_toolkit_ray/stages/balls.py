@@ -42,7 +42,8 @@ import ray.data
 from ..canon import hash64_batch
 from .dedup import _PHI, _mix64
 from .exchange import (concat, distinct, gather, partition, rehash, scatter,
-                       split_by_code, split_by_hash, superstep, vertices)
+                       split_by_code, split_by_hash, superstep,
+                       superstep_buckets, vertices)
 
 
 def _pair_codes(pairs: pa.Table, nb: int) -> np.ndarray:
@@ -71,12 +72,13 @@ _EMPTY_VIS = pa.table({"root": pa.array([], pa.string()),
                        "dist": pa.array([], pa.int64())})
 
 
-def _edge_buckets(links: ray.data.Dataset, nb: int, src_col: str,
+def _edge_buckets(links: ray.data.Dataset, nb: int | None, src_col: str,
                   dst_col: str, key: str = "src") -> list:
     """Distinct (src, dst) edges cached per ``hash64(key)`` bucket,
     sorted by key."""
     other = "dst" if key == "src" else "src"
-    return partition(links, nb, key, (("src", src_col), ("dst", dst_col)),
+    return partition(links, superstep_buckets(nb), key,
+                     (("src", src_col), ("dst", dst_col)),
                      partial(distinct, (key, other)))
 
 
@@ -139,7 +141,7 @@ def _node_table(url: pa.Array, outdeg: np.ndarray) -> pa.Table:
     return pa.table({"url": url})
 
 
-def _ball_pairs(links: ray.data.Dataset, nb: int, radius: int,
+def _ball_pairs(links: ray.data.Dataset, nb: int | None, radius: int,
                 src_col: str, dst_col: str) -> list:
     """The exact BFS pair stream: per pair bucket, the visited
     ``(root, node, dist)`` rows with ``dist <= radius``.
@@ -149,6 +151,7 @@ def _ball_pairs(links: ray.data.Dataset, nb: int, radius: int,
     expand scatter (frontier x out-edges -> candidates by pair hash)
     and one visit gather (dedup vs visited, emitting the new frontier
     by node hash as extra returns)."""
+    nb = superstep_buckets(nb)
     edges_b = _edge_buckets(links, nb, src_col, dst_col)
     cands = scatter(_nf_self_pairs, vertices(edges_b, _node_table))
     vis_b = [_EMPTY_VIS] * nb
@@ -194,7 +197,7 @@ def _sum_by(key: str, parts: list) -> pa.Table:
 
 def neighborhood_function(links: ray.data.Dataset, *, radius: int = 3,
                           lcm: int | None = None,
-                          num_buckets: int = 16,
+                          num_buckets: int | None = None,
                           src_col: str = "src_url",
                           dst_col: str = "dst_url"
                           ) -> ray.data.Dataset:
@@ -339,7 +342,7 @@ def _hb_final(state: pa.Table) -> pa.Table:
 
 
 def hyperball(links: ray.data.Dataset, *, radius: int = 3, p: int = 9,
-              num_buckets: int = 16, src_col: str = "src_url",
+              num_buckets: int | None = None, src_col: str = "src_url",
               dst_col: str = "dst_url") -> ray.data.Dataset:
     """HyperBall (Boldi & Vigna): APPROXIMATE per-node ball sizes at
     bounded radius via mergeable HLL counters — the 10^10-node scale
@@ -384,7 +387,7 @@ def _dd_partial(nb: int, vis: pa.Table) -> list:
 
 
 def distance_distribution(links: ray.data.Dataset, *, radius: int = 3,
-                          num_buckets: int = 16,
+                          num_buckets: int | None = None,
                           src_col: str = "src_url",
                           dst_col: str = "dst_url"
                           ) -> ray.data.Dataset:
@@ -404,7 +407,7 @@ def distance_distribution(links: ray.data.Dataset, *, radius: int = 3,
 
 
 def graph_report(links: ray.data.Dataset, *, radius: int = 3,
-                 num_buckets: int = 16, src_col: str = "src_url",
+                 num_buckets: int | None = None, src_col: str = "src_url",
                  dst_col: str = "dst_url") -> ray.data.Dataset:
     """The HyperANF summary report over the radius-capped distance
     distribution (Boldi, Rosa & Vigna 2011): ``eff_diameter_90`` (the
@@ -511,7 +514,7 @@ def _gc_mark(winner: str, pairs: pa.Table) -> pa.Table:
 
 
 def greedy_seed_cover(links: ray.data.Dataset, *, k: int = 3,
-                      radius: int = 2, num_buckets: int = 16,
+                      radius: int = 2, num_buckets: int | None = None,
                       src_col: str = "src_url",
                       dst_col: str = "dst_url") -> ray.data.Dataset:
     """Greedy maximum-coverage seed selection: pick ``k`` seeds, each

@@ -280,11 +280,19 @@ def _merge_bucket(merge_fn, *tbls):
 SAMPLE_EVERY = 64
 
 
-@ray.remote
-def _sample(col: str, tbl):
-    """Boundary samples of one block's ``col``; None for an empty block
-    (which may carry no schema at all)."""
+def _rows_where(where, tbl) -> pa.Table:
+    """One block as Arrow, cut to the rows ``where`` keeps (all rows
+    when ``where`` is None)."""
     tbl = _as_arrow(tbl)
+    return where(tbl) if where is not None and tbl.num_rows else tbl
+
+
+@ray.remote
+def _sample(col: str, where, tbl):
+    """Boundary samples of one block's ``col`` over the rows ``where``
+    keeps; None when none are left (an empty block may carry no schema
+    at all)."""
+    tbl = _rows_where(where, tbl)
     if not tbl.num_rows:
         return None
     v = tbl[col].to_numpy(zero_copy_only=False)
@@ -292,8 +300,8 @@ def _sample(col: str, tbl):
 
 
 @ray.remote
-def _split_range(col: str, bounds: np.ndarray, *tbls):
-    tbl = pa.concat_tables([_as_arrow(t) for t in tbls],
+def _split_range(col: str, bounds: np.ndarray, where, *tbls):
+    tbl = pa.concat_tables([_rows_where(where, t) for t in tbls],
                            promote_options="permissive")
     v = tbl[col].to_numpy(zero_copy_only=False)
     codes = np.searchsorted(bounds, v, side="right")
@@ -310,6 +318,16 @@ def _merge_range(cols: Sequence[str], *tbls):
 def _cluster_cpus() -> int:
     return (int(ray.cluster_resources().get("CPU", 8))
             if ray.is_initialized() else 8)
+
+
+def superstep_buckets(num_buckets: int | None) -> int:
+    """A graph algorithm's bucket count: ``num_buckets``, or for None
+    one bucket per CPU within [4, 32]. Every superstep makes
+    ``nb * nb`` message objects, so the count follows the cluster, not
+    a fixed 32 (1,024 objects per round at 2 CPUs)."""
+    if num_buckets is not None:
+        return num_buckets
+    return min(32, max(4, _cluster_cpus()))
 
 
 def _chunked(refs: Sequence, max_tasks: int | None = None):
@@ -389,10 +407,15 @@ def hash_bucket_apply(ds: ray.data.Dataset, bucket_col: str,
 
 
 def range_order(ds: ray.data.Dataset, cols: Sequence[str], *,
+                where: Callable[[pa.Table], pa.Table] | None = None,
                 bytes_budget: int = EXCHANGE_BYTES_BUDGET
                 ) -> ray.data.Dataset:
     """Global order by ``cols`` (lexicographic, ascending) as one range
     exchange — the task-graph twin of ``Dataset.sort(cols)``.
+
+    ``where`` (a picklable ``table -> table`` row filter) keeps only
+    the rows it returns. It runs inside the sample and split tasks, so
+    filtering costs no execution of its own.
 
     Range boundaries are quantiles of sampled ``cols[0]`` values, and a
     row goes to range ``searchsorted(bounds, cols[0], 'right')``, so
@@ -404,13 +427,15 @@ def range_order(ds: ray.data.Dataset, cols: Sequence[str], *,
     ``bytes_budget`` falls back to the executor ``Dataset.sort``.
     """
     mat = ds.materialize()
+    kept = mat if where is None else mat.map_batches(
+        where, batch_format="pyarrow", batch_size=None)
     if _over_budget(mat, bytes_budget, "range_order"):
-        return mat.sort(list(cols))
+        return kept.sort(list(cols))
     refs = mat.to_arrow_refs()
-    samples = ray.get([_sample.remote(cols[0], r) for r in refs])
+    samples = ray.get([_sample.remote(cols[0], where, r) for r in refs])
     live = [(r, s) for r, s in zip(refs, samples) if s is not None]
     if not live:
-        return mat
+        return kept
     refs = [r for r, _ in live]
     alls = np.sort(np.concatenate([s for _, s in live]))
     nr = max(4, min(_cluster_cpus(), len(refs)))
@@ -418,7 +443,7 @@ def range_order(ds: ray.data.Dataset, cols: Sequence[str], *,
     bounds = np.unique(alls[qs])
     nr = len(bounds) + 1
 
-    rsplits = [_submit(_split_range, nr, cols[0], bounds, *g)
+    rsplits = [_submit(_split_range, nr, cols[0], bounds, where, *g)
                for g in _chunked(refs)]
     return ray.data.from_arrow_refs(
         [_merge_range.remote(list(cols), *[s[r] for s in rsplits])

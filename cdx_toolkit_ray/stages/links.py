@@ -51,7 +51,7 @@ from ..canon import hash64_batch
 from ..state.seen import ShardedSeenSet, SeenFilterStage
 from .exchange import (concat, distinct, fan_out, gather,
                        hash_bucket_apply, partition, split_by_hash,
-                       superstep, vertices)
+                       superstep, superstep_buckets, vertices)
 
 LOGGER = logging.getLogger(__name__)
 
@@ -177,7 +177,7 @@ _SRC_DST = (("src", "src_url"), ("dst", "dst_url"))
 
 
 def link_rank(links: ray.data.Dataset, *, iterations: int = 3,
-              num_buckets: int = 32, scale: int = 1_000_000,
+              num_buckets: int | None = None, scale: int = 1_000_000,
               damping_num: int = 85, damping_den: int = 100
               ) -> ray.data.Dataset:
     """Fixed-point PageRank-style crawl priority over the link graph.
@@ -214,14 +214,14 @@ def link_rank(links: ray.data.Dataset, *, iterations: int = 3,
 
 
 def _pagerank(links: ray.data.Dataset, col: str, is_seed,
-              iterations: int, nb: int, scale: int, damping_num: int,
+              iterations: int, nb: int | None, scale: int, damping_num: int,
               damping_den: int) -> ray.data.Dataset:
     """The link_rank / trust_rank loop over ``(url, col)``: rank and
     teleport mass start on the nodes ``is_seed`` selects."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     base = (scale * (damping_den - damping_num)) // damping_den
-    edges_b = partition(links, nb, "src", _SRC_DST)
+    edges_b = partition(links, superstep_buckets(nb), "src", _SRC_DST)
     state_b = vertices(edges_b,
                        partial(_rank_init, col, scale, base, is_seed))
     for _ in range(iterations):
@@ -294,7 +294,7 @@ def _rank_gather(col: str, state: pa.Table, inbox: list) -> pa.Table:
 
 
 def hits(links: ray.data.Dataset, *, iterations: int = 2,
-         num_buckets: int = 32, scale: int = 1_000_000
+         num_buckets: int | None = None, scale: int = 1_000_000
          ) -> ray.data.Dataset:
     """Integer HITS hubs/authorities (Kleinberg 1999) over the link
     graph — the crawl-prioritization twin of :func:`link_rank` that
@@ -336,8 +336,9 @@ def hits(links: ray.data.Dataset, *, iterations: int = 2,
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     links = links.materialize()
-    by_src = partition(links, num_buckets, "src", _SRC_DST)
-    by_dst = partition(links, num_buckets, "dst", _SRC_DST)
+    nb = superstep_buckets(num_buckets)
+    by_src = partition(links, nb, "src", _SRC_DST)
+    by_dst = partition(links, nb, "dst", _SRC_DST)
     state_b = vertices(by_src, partial(_hits_init, scale))
     for _ in range(iterations):
         state_b = _hits_update(by_src, state_b, scale,
@@ -1771,7 +1772,7 @@ def _in_sorted(seed_set: np.ndarray, url: pa.Array) -> np.ndarray:
 
 
 def trust_rank(links: ray.data.Dataset, *, iterations: int = 3,
-               num_buckets: int = 32, scale: int = 1_000_000,
+               num_buckets: int | None = None, scale: int = 1_000_000,
                damping_num: int = 85, damping_den: int = 100,
                seed_pred=root_page_seed,
                seeds: "list[str] | None" = None) -> ray.data.Dataset:
@@ -1854,7 +1855,7 @@ def _kc_final(t: pa.Table) -> pa.Table:
 
 
 def kcore_peel(links: ray.data.Dataset, *, k: int = 2, rounds: int = 3,
-               num_buckets: int = 32, src_col: str = "src_url",
+               num_buckets: int | None = None, src_col: str = "src_url",
                dst_col: str = "dst_url") -> ray.data.Dataset:
     """k-core peeling over the UNDIRECTED graph of ``links`` —
     ``rounds`` unrolled iterations of "delete every node with fewer
@@ -1882,7 +1883,7 @@ def kcore_peel(links: ray.data.Dataset, *, k: int = 2, rounds: int = 3,
         raise ValueError("rounds and k must be >= 0")
     und = links.map_batches(partial(_undirected, src_col, dst_col),
                             batch_format="pyarrow", batch_size=None)
-    edges_b = partition(und, num_buckets, "src",
+    edges_b = partition(und, superstep_buckets(num_buckets), "src",
                         (("src", "src"), ("dst", "dst")),
                         partial(distinct, ("src", "dst")))
     state_b = vertices(edges_b, _kc_init)
@@ -1924,7 +1925,7 @@ def _opic_final(t: pa.Table) -> pa.Table:
 
 
 def opic(links: ray.data.Dataset, *, rounds: int = 3,
-         num_buckets: int = 32, scale: int = 1_000_000
+         num_buckets: int | None = None, scale: int = 1_000_000
          ) -> ray.data.Dataset:
     """OPIC — On-line Page Importance Computation (Abiteboul, Preda
     & Cobena, WWW 2003), the crawl-ordering algorithm designed to be
@@ -1944,7 +1945,8 @@ def opic(links: ray.data.Dataset, *, rounds: int = 3,
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    edges_b = partition(links, num_buckets, "src", _SRC_DST)
+    edges_b = partition(links, superstep_buckets(num_buckets), "src",
+                        _SRC_DST)
     state_b = vertices(edges_b, partial(_opic_init, scale))
     for _ in range(rounds):
         state_b = superstep(edges_b, state_b,

@@ -22,11 +22,10 @@ that becomes cluster state:
 Determinism note: concurrent ``offer`` arrival order is
 nondeterministic, so the STREAMING seen-set is used for cross-run /
 incremental membership. The frontier pipeline's dedup-for-scheduling is
-the exact ``stages/dedup.first_wins_dedup`` over ``hash64`` (a
-vectorized min-aggregate plus a semi-join, called from
-``pipelines/frontier.py``), whose winner rule (min (priority,
-seed_order)) is arrival-order independent; the bloom path is verified
-against it for zero false negatives.
+exact: one lexsort per host bucket of ``pipelines/frontier.py``'s host
+round keeps, per ``hash64``, the row with the smallest (priority,
+seed_order), a rule that is arrival-order independent; the bloom path
+is verified against it for zero false negatives.
 """
 
 from __future__ import annotations
@@ -519,7 +518,8 @@ class SeenFilterStage:
 
     Holds the shard handles; one routed actor round-trip per batch.
     Use for INCREMENTAL runs (membership vs prior crawls); in-run
-    scheduling dedup is the exact groupby in the frontier pipeline.
+    scheduling dedup is the exact first-wins kernel of the frontier's
+    host round (``pipelines/frontier.py``).
     """
 
     def __init__(self, seen: ShardedSeenSet, hash_col: str = "hash64"):

@@ -116,6 +116,64 @@ def test_salted_subqueues_preserve_schedule(fixture_dir):
     assert set(hot) == {0, 1, 2, 3}
 
 
+def _routing_seeds(tmp_path):
+    """Seeds that only the frontier's host route keeps exact: one raw
+    host on the default port and on four others (``:80`` is the default
+    spelled out, so it duplicates the bare form), ``www.`` and bare
+    forms of the same urls at different priorities, and one hot host
+    with most rows."""
+    rng = np.random.default_rng(11)
+    ports = ("", ":80", ":8080", ":8443", ":9000")
+    urls = (["https://hot.example/p/%d" % rng.integers(0, 500)
+             for _ in range(700)]
+            + ["http://port.example%s/q/%d" % (ports[i % 5], i % 8)
+               for i in range(120)]
+            + ["http://%sdup%d.example/x/%d" % ("www." * (i % 2), i % 3,
+                                                i % 5)
+               for i in range(60)]
+            + ["https://small%d.example/" % (i % 9) for i in range(40)])
+    n = len(urls)
+    seeds = str(tmp_path / "seeds.parquet")
+    pq.write_table(pa.table({
+        "url": pa.array(urls),
+        "priority": pa.array(rng.integers(0, 4, n), pa.int32()),
+        "seed_order": pa.array(rng.permutation(n), pa.int64())}), seeds,
+        row_group_size=97)
+    robots = str(tmp_path / "robots.parquet")
+    pq.write_table(pa.table({
+        "host": ["hot.example", "port.example", "dup1.example"],
+        "crawl_delay_ms": pa.array([500, 1000, 2000], pa.int64()),
+        "disallow": pa.array([["/p/1"], [], ["/x/3"]],
+                             pa.list_(pa.string()))}), robots)
+    return seeds, robots, urls
+
+
+def test_host_route_keeps_ports_www_duplicates_and_hot_host(tmp_path):
+    """The frontier's one host round routes by the www-stripped raw
+    host: politeness ranks one host across its ports, SURT duplicates
+    under ``www.`` and bare hosts meet in one bucket, and the crawl
+    order and every winner's ``n_dup_dropped`` equal the serial
+    reference, salted or not."""
+    from collections import Counter
+
+    seeds, robots, urls = _routing_seeds(tmp_path)
+    assert sum(u.startswith("https://hot.") for u in urls) > len(urls) / 2
+    dups = Counter(hash64(surt(u)) for u in urls)
+    want, _ = serial_oracle(seeds, robots)
+    assert any(r[0] > 0 for r in want)   # some host ranks past 0
+    for salts in (1, 2):
+        flow = frontier_flow(seeds, robots, num_salts=salts)
+        got = [(r["fetch_ms"], r["priority"], r["seed_order"],
+                r["urlkey"], r["hash64"], r["host_rank"])
+               for r in crawl_order(flow).take_all()]
+        assert got == want, salts
+        rows = flow.to_pandas()
+        assert len(rows) == len(dups)
+        assert {int(h): int(d) for h, d in
+                zip(rows["hash64"], rows["n_dup_dropped"])} == \
+            {h: c - 1 for h, c in dups.items()}
+
+
 def reference_order(gated: pa.Table, num_salts: int = 1,
                     connections: int = 1) -> pd.DataFrame:
     """Independent serial reference for politeness + global order: a

@@ -199,16 +199,28 @@ def test_hash_bucket_apply_budget_fallback_identical_rows():
         return pa.Table.from_pandas(g[["k", "s", "odd"]],
                                     preserve_index=False)
 
-    def run(budget):
+    def run(budget, where=None):
         grouped = hash_bucket_apply(
             ray.data.from_pandas(df).repartition(4), "bucket",
             per_bucket, num_buckets=7, bytes_budget=budget)
-        return range_order(grouped, ["odd", "k"], bytes_budget=budget) \
+        return range_order(grouped, ["odd", "k"], where=where,
+                           bytes_budget=budget) \
             .to_pandas().reset_index(drop=True)
 
     direct = run(1 << 40)   # far above: direct path
     fallback = run(0)       # zero budget: fallback
     pd.testing.assert_frame_equal(direct, fallback)
+    # a row filter inside the exchange keeps exactly the rows it passes,
+    # on both paths
+    def gains(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        return t.filter(pc.greater(t["s"], 0))
+
+    kept = direct[direct["s"] > 0].reset_index(drop=True)
+    assert 0 < len(kept) < len(direct)
+    for budget in (1 << 40, 0):
+        pd.testing.assert_frame_equal(run(budget, gains), kept)
     # global order kept: the ties on the first column are ordered by the
     # second
     keys = list(zip(direct["odd"], direct["k"]))

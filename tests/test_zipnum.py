@@ -300,3 +300,66 @@ def test_query_zipnum_closest_ranking(tmp_path):
     all_d = sorted(abs(ep(r["timestamp"]) - target)
                    for i, r in enumerate(rows) if i % 4 == 0)
     assert deltas[0] == all_d[0] * 1000 or deltas[0] == all_d[0]
+
+
+def test_limit_calls_never_cancel(tmp_path, monkeypatch):
+    """``limit`` on a zipnum index is a cut over the materialized blocks,
+    not ``Dataset.limit``'s early stop (whose cancel of in-flight tasks
+    can abort the Ray session): 200 single- and multi-crawl calls with limit
+    in {0, 1, 7, 100} never cancel a task, and each returns the first
+    ``limit`` rows of the unlimited query, in order. Multi-crawl calls
+    stop looking up crawls once the limit is met."""
+    import ray
+
+    from cdx_toolkit_ray.sources.zipnum import (build_zipnum, query_zipnum,
+                                                query_zipnum_multi)
+
+    root = tmp_path / "multi"
+    for n, crawl in enumerate(("CC-MAIN-2023-06", "CC-MAIN-2023-14")):
+        rows = _captures(160)
+        for r in rows:
+            r["digest"] = "%s-%s" % (crawl, r["digest"])
+        tbl = pa.table({c: pa.array([r[c] for r in rows]) for c in COLS})
+        build_zipnum(ray.data.from_arrow(tbl), str(root / crawl),
+                     lines_per_block=6, num_shards=3 + n)
+    one = str(root / "CC-MAIN-2023-06")
+
+    calls = []
+
+    def spy(real):
+        def call(*a, **kw):
+            calls.append((real.__name__, a))
+            return real(*a, **kw)
+        return call
+
+    monkeypatch.setattr(ray, "cancel", spy(ray.cancel))
+    monkeypatch.setattr(ray.data.Dataset, "limit", spy(ray.data.Dataset.limit))
+
+    def rows_of(ds):
+        return [(r["urlkey"], r["timestamp"], r["digest"])
+                for r in ds.take_all()]
+
+    queries = [(fn, src, url, kw)
+               for fn, src in ((query_zipnum, one),
+                               (query_zipnum_multi, str(root)))
+               for url, kw in (("aa.example/*", {}),
+                               ("*.example", {"filter": ["=status:200"]}),
+                               ("bb.example/p/001", {}),
+                               ("*.example", {"from_ts": "202306"}))]
+    full = {k: rows_of(fn(src, url, **kw))
+            for k, (fn, src, url, kw) in enumerate(queries)}
+    # limit 100 reaches past one crawl, and past one block
+    assert all(len(full[k]) > 100 for k in (1, 5, 7))
+    for i in range(200):
+        k = i % len(queries)
+        fn, src, url, kw = queries[k]
+        limit = (0, 1, 7, 100)[i // len(queries) % 4]
+        got = rows_of(fn(src, url, limit=limit, **kw))
+        assert got == full[k][:limit], (fn.__name__, url, kw, limit)
+    assert calls == []
+
+    # a crawl after the one that meets the limit is never looked up
+    st = {}
+    got = rows_of(query_zipnum_multi(str(root), "*.example", limit=1,
+                                     stats=st))
+    assert len(got) == 1 and list(st) == ["CC-MAIN-2023-14"]
