@@ -56,9 +56,9 @@ def prepare_seeds(sf_dir: str, replicate: int) -> str:
     Host distribution is skewed on purpose: ~20% of rows land on one
     hot host (l_partkey % 5 == 0) to exercise the skewed politeness
     group; the rest spread over ~997 hosts. ``seed_order`` is the
-    global row number (the first-wins dedup contract requires a unique
-    order key — the synthetic lineitem contains duplicate rows, so no
-    column combination is unique).
+    global row number: it breaks first-wins dedup ties between rows of
+    equal priority (the synthetic lineitem contains duplicate rows, so
+    no other column combination is unique).
     """
     import hashlib
 
@@ -135,8 +135,7 @@ def derive_frontier_seeds(sf_dir: str, num_cpus: int):
     nfiles = len(glob.glob(os.path.join(path, "*.parquet")))
     nblocks = max(num_cpus * 2, (nfiles * 150_000) // 600_000, 1)
     # prune at the read: crawl_delay_ms is a pure function of host and
-    # re-attaches AFTER dedup from a broadcast host table — reading it
-    # per raw row would drag 8 bytes/row through both dedup passes
+    # attaches from a broadcast host table (frontier_chain)
     return ray.data.read_parquet(path, override_num_blocks=nblocks,
                                  columns=["url", "priority", "seed_order"])
 
@@ -195,42 +194,20 @@ def warmup(sf_dir: str, num_cpus: int) -> None:
                           override_num_blocks=num_cpus * 2)
     wide.map_batches(touch, batch_size=None).materialize()
 
-    from cdx_toolkit_ray.canon import canonicalize_batch
-    from cdx_toolkit_ray.pipelines.frontier import scheduled_crawl_order
-    from cdx_toolkit_ray.stages.dedup import first_wins_dedup
-
-    # exercise every code path of the timed pipeline on a 20k-row
-    # prefix: fused read->canon->partial chain, the raw-task winner
-    # combine, and the scheduled_crawl_order exchange rounds (cold
-    # closure serialization + worker imports cost ~1-2s the first time
-    # a raw-task path runs — steady-state jobs never pay it per run)
-    import pyarrow as _pa
-
-    ds = derive_frontier_seeds(sf_dir, num_cpus).limit(20000)
-    ds = first_wins_dedup(
-        ds, "hash64", [("priority", 19), ("seed_order", 44)],
-        strategy="broadcast_recompute",
-        derive_fn=lambda b: canonicalize_batch(b).drop_columns(["url"]),
-        count_col=None)
-
-    def flag(batch: _pa.Table) -> _pa.Table:
-        import numpy as _np
-
-        batch = batch.append_column(
-            "crawl_delay_ms",
-            _pa.array(_np.full(batch.num_rows, 1000), _pa.int64()))
-        return batch.append_column(
-            "robots_blocked",
-            _pa.array(_np.zeros(batch.num_rows, bool)))
-
-    ds = ds.map_batches(flag, batch_format="pyarrow", batch_size=None,
-                        zero_copy_batch=True)
-    consume(scheduled_crawl_order(ds))
+    # run the timed chain once on a 20k-row prefix: the fused read ->
+    # prepare pass and the host and range exchange rounds (cold closure
+    # serialization + worker imports cost ~1-2s the first time a
+    # raw-task path runs — steady-state jobs never pay it per run)
+    consume(frontier_chain(
+        derive_frontier_seeds(sf_dir, num_cpus).limit(20000)))
 
 
-def run_frontier(sf_dir: str, num_cpus: int) -> int:
-    """Derived seeds -> canonicalize -> first-wins dedup -> politeness
-    -> global crawl order (the north_rule flagship)."""
+def frontier_chain(ds):
+    """Seeds -> one streaming pass (canonicalize, drop the raw url,
+    attach the crawl-delay and robots flags) -> ``dedup_schedule``
+    (first-wins dedup + politeness in one host round) ->
+    ``crawl_order``: the chain ``frontier_flow_from`` runs, with the
+    broadcast host-delay table standing in for the robots gate."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -239,39 +216,17 @@ def run_frontier(sf_dir: str, num_cpus: int) -> int:
     from cdx_toolkit_ray.canon import canonicalize_batch
     from cdx_toolkit_ray.pipelines.frontier import (
         _get_broadcast,
-        scheduled_crawl_order,
+        crawl_order,
+        dedup_schedule,
     )
-    from cdx_toolkit_ray.stages.dedup import first_wins_dedup
-
-    ds = derive_frontier_seeds(sf_dir, num_cpus)
-
-    def canon_derive(batch: pa.Table) -> pa.Table:
-        # derive urlkey/hash64/host, then drop the raw url bytes:
-        # downstream identity travels as urlkey (prunes ~half the
-        # canonicalized row width)
-        return canonicalize_batch(batch).drop_columns(["url"])
-
-    # 'broadcast_recompute' re-executes the pure upstream for the
-    # filter pass instead of pinning a full materialized copy: the
-    # honest 10^10-frontier-scale path (nothing input-sized lives in
-    # the object store). derive_fn pushes canonicalization OUT of that
-    # second pass: the filter matches on sortkey (raw columns only)
-    # and only the ~3% survivors are canonicalized again.
-    # 'broadcast' (one shared materialized pass) is selectable for
-    # small inputs via GRAFT_DEDUP_STRATEGY.
-    # count_col=None: the flagship never emits n_dup_dropped, so the
-    # winner combine moves (key, sortkey) pairs only
-    ds = first_wins_dedup(
-        ds, "hash64", [("priority", 19), ("seed_order", 44)],
-        strategy=os.environ.get("GRAFT_DEDUP_STRATEGY",
-                                "broadcast_recompute"),
-        derive_fn=canon_derive, count_col=None)
 
     delay_ref = _ray.put(_delay_map())
 
-    def add_flags(batch: pa.Table) -> pa.Table:
-        # crawl delay re-attaches per SURVIVOR from the broadcast host
-        # table (factorize + one lookup per distinct host per batch)
+    def prepare(batch: pa.Table) -> pa.Table:
+        # identity travels as urlkey downstream, so the raw url bytes
+        # go (prunes ~half the canonicalized row width); the crawl
+        # delay is one lookup per distinct host per batch
+        batch = canonicalize_batch(batch).drop_columns(["url"])
         m = _get_broadcast(delay_ref)
         hosts = batch["host"].to_numpy(zero_copy_only=False)
         codes, uniq = pd.factorize(hosts)
@@ -281,14 +236,16 @@ def run_frontier(sf_dir: str, num_cpus: int) -> int:
         return batch.append_column(
             "robots_blocked", pa.array(np.zeros(batch.num_rows, bool)))
 
-    ds = ds.map_batches(add_flags, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    # politeness + global (fetch_ms, priority, seed_order) order as two
-    # direct task-graph exchanges (pipelines/frontier.py): the executor
-    # sorts these replace were the flagship's fixed-cost tail — the part
-    # that did NOT shrink from N to 4N CPUs
-    ds = scheduled_crawl_order(ds)
-    ds = ds.select_columns(["urlkey", "host", "host_rank", "fetch_ms"])
-    return consume(ds)
+    ds = ds.map_batches(prepare, batch_format="pyarrow", batch_size=None,
+                        zero_copy_batch=True)
+    ds = crawl_order(dedup_schedule(ds))
+    return ds.select_columns(["urlkey", "host", "host_rank", "fetch_ms"])
+
+
+def run_frontier(sf_dir: str, num_cpus: int) -> int:
+    """Derived seeds -> :func:`frontier_chain` (the north_rule
+    flagship); returns the scheduled row count."""
+    return consume(frontier_chain(derive_frontier_seeds(sf_dir, num_cpus)))
 
 
 def main() -> None:

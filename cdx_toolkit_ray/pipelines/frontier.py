@@ -19,9 +19,10 @@ stages/exchange.py):
 
   read seeds -> canonicalize_batch (urlkey, hash64, host; once per row)
   -> robots gate (broadcast lookup; flags, never drops)
-  -> one host round: first-wins dedup per hash64 (winner = min
-     (priority, seed_order), n_dup_dropped), then politeness over the
-     winners (host_rank, fetch_ms = rank * delay)    [frontier_flow]
+  -> one host round: first-wins dedup per hash64 (stages/dedup.first_wins:
+     winner = min (priority, seed_order), n_dup_dropped), then
+     politeness over the winners (host_rank, fetch_ms = rank * delay)
+                                                      [frontier_flow]
   -> range_order(fetch_ms, priority, seed_order) of host_rank >= 0
                                                       [crawl_order]
 
@@ -54,6 +55,7 @@ import ray
 import ray.data
 
 from ..canon import canonicalize_batch
+from ..stages.dedup import first_wins
 
 # reference default politeness interval for unknown hosts
 # (cdx_toolkit/myrequests.py:24-27: 3.0 s)
@@ -300,12 +302,10 @@ def _add_host_bucket(num_buckets: int, strip_www: bool = False):
 
 def _host_round(ds: ray.data.Dataset, kern) -> ray.data.Dataset:
     """ONE ``hash_bucket_apply`` exchange routed by the ``www``-stripped
-    host, running ``kern`` over each bucket. ``B = min(64, max(8, 2 *
-    cpus))``: split tasks emit B objects EACH (64 buckets at 2 CPUs is
-    ~2k tiny plasma objects whose fixed cost dwarfs the kernel work)."""
-    from ..stages.exchange import _cluster_cpus, hash_bucket_apply
+    host, running ``kern`` over each bucket."""
+    from ..stages.exchange import hash_bucket_apply, hash_round_buckets
 
-    num_buckets = min(64, max(8, 2 * _cluster_cpus()))
+    num_buckets = hash_round_buckets()
     tagged = ds.map_batches(_add_host_bucket(num_buckets, strip_www=True),
                             batch_format="pyarrow", batch_size=None,
                             zero_copy_batch=True)
@@ -323,25 +323,12 @@ def schedule_politeness(ds: ray.data.Dataset, *, num_salts: int = 1,
 
 def dedup_schedule(ds: ray.data.Dataset, *, num_salts: int = 1,
                    connections: int = 1) -> ray.data.Dataset:
-    """First-wins dedup, then politeness over the winners, of a
-    canonicalized, robots-gated Dataset in ONE :func:`_host_round`
-    (SURT duplicates share a route, so per-bucket dedup is exact)."""
+    """First-wins dedup (``stages/dedup.first_wins``), then politeness
+    over the winners, of a canonicalized, robots-gated Dataset in ONE
+    :func:`_host_round` (SURT duplicates share a route, so per-bucket
+    dedup is exact)."""
     schedule = make_bucket_scheduler(num_salts, connections)
-    return _host_round(ds, lambda t: schedule(_first_wins(t)))
-
-
-def _first_wins(t: pa.Table) -> pa.Table:
-    """Exact first-wins dedup of one table (one lexsort): per ``hash64``,
-    the row with the smallest ``(priority, seed_order)``, with
-    ``n_dup_dropped`` = the number of other rows of that ``hash64``."""
-    keys = [t[c].to_numpy(zero_copy_only=False)
-            for c in ("seed_order", "priority", "hash64")]
-    order = np.lexsort(keys)
-    h = keys[-1][order]
-    starts = np.flatnonzero(np.r_[True, h[1:] != h[:-1]][:len(h)])
-    runs = np.diff(np.append(starts, len(h)))
-    return t.take(pa.array(order[starts])).append_column(
-        "n_dup_dropped", pa.array(runs - 1, pa.int64()))
+    return _host_round(ds, lambda t: schedule(first_wins(t)))
 
 
 #: the global crawl order: the virtual clock, ties broken

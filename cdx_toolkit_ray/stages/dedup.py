@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import logging
 import re
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -192,34 +194,6 @@ def exact_dedup(ds: ray.data.Dataset, key_col: str, id_col: str,
     return out.drop_columns(["key_hash"])
 
 
-def add_packed_order(cols_bits, out_col: str = "sortkey"):
-    """map_batches fn: pack (col, bits) pairs into one int64 sort key.
-
-    ``cols_bits`` is an ordered list of ``(column, bit_width)``; earlier
-    columns are more significant, so lexicographic order over the
-    columns == numeric order over the packed key. All values must be
-    non-negative and fit their widths (asserted per batch — cheap), and
-    the total width must stay <= 63 bits.
-    """
-    total = sum(b for _, b in cols_bits)
-    if total > 63:
-        raise ValueError("packed order key exceeds 63 bits")
-
-    def _pack(batch: pa.Table) -> pa.Table:
-        acc = np.zeros(batch.num_rows, dtype=np.int64)
-        for col, bits in cols_bits:
-            v = batch[col].to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(v) and (v.min() < 0 or v.max() >> bits):
-                raise ValueError("column %r out of range for %d bits"
-                                 % (col, bits))
-            acc = (acc << np.int64(bits)) | v
-        if out_col in batch.column_names:
-            batch = batch.drop_columns([out_col])
-        return batch.append_column(out_col, pa.array(acc, pa.int64()))
-
-    return _pack
-
-
 def default_join_partitions() -> int:
     """Join/aggregate partition count sized to the cluster: enough
     partitions to spread the shuffle, few enough that the hash-shuffle
@@ -230,311 +204,70 @@ def default_join_partitions() -> int:
     return max(2, min(64, cpus // 2))
 
 
-def first_wins_dedup(ds: ray.data.Dataset, key_col: str, cols_bits,
-                     num_partitions: int | None = None,
-                     count_col: str = "n_dup_dropped",
-                     strategy: str = "auto",
-                     broadcast_limit: int = 20_000_000,
-                     derive_fn=None) -> ray.data.Dataset:
-    """Scalable exact first-wins dedup: keep, per ``key_col`` group, the
-    row minimizing the packed order key; append ``count_col`` = number
-    of dropped duplicates.
+def first_wins(t: pa.Table, key_col: str = "hash64",
+               order: Sequence[str] = ("priority", "seed_order")
+               ) -> pa.Table:
+    """Exact first-wins dedup of one table (one lexsort): per
+    ``key_col``, the row with the smallest ``order`` tuple, with
+    ``n_dup_dropped`` = the number of other rows of that key. Rows
+    tied on the whole ``order`` tuple keep the earlier row of ``t``
+    (lexsort is stable)."""
+    keys = [t[c].to_numpy(zero_copy_only=False)
+            for c in (*reversed(order), key_col)]
+    idx = np.lexsort(keys)
+    k = keys[-1][idx]
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]][:len(k)])
+    runs = np.diff(np.append(starts, len(k)))
+    return t.take(pa.array(idx[starts])).append_column(
+        "n_dup_dropped", pa.array(runs - 1, pa.int64()))
 
-    Unlike ``groupby().map_groups`` (one Python call per group — fine
-    for thousands of groups, fatal for hundreds of millions), the
-    winner identity is computed with a single vectorized aggregate
 
-        winners = groupby(key).aggregate(Min(sortkey), Count)
+def _route_by_key(key_col: str, num_buckets: int, derive_fn):
+    """map_batches fn: ``derive_fn`` (when given), then ``_fw_bucket =
+    uint64(key) % num_buckets`` — the key is already a 64-bit hash, so
+    it routes by its own bits."""
+    nb = np.uint64(num_buckets)
 
-    and winner ROWS are recovered by one of two semi-join strategies
-    (packed sort keys are globally unique, so membership of ``sortkey``
-    in the winner set identifies winners exactly):
-
-    * ``broadcast`` — map-side partial (key, min, count) tables, one
-      distributed combine round, driver merge, ``ray.put`` once,
-      filter each batch with a vectorized ``searchsorted``. NO
-      all-to-all shuffle; input materialized so the winner pass and
-      the filter pass share one execution. Right for winner sets up
-      to ~10^7-10^8 (a few hundred MB broadcast).
-    * ``broadcast_recompute`` — same, but fully streaming: the pure
-      upstream is re-executed for the filter pass instead of being
-      materialized (cheap parallel recompute, zero object-store
-      footprint).
-    * ``join`` — distributed Min/Count aggregate + hash join of the
-      input against the winner table. Two shuffles; the 10^10-key
-      scale path (nothing ever lands on the driver).
-    * ``auto`` — materialize + count the input, pick broadcast iff
-      rows <= ``broadcast_limit``.
-
-    CONTRACT: the packed order key must be UNIQUE per row (e.g. a
-    globally unique ``seed_order`` in its low bits — the frontier seed
-    contract, FIXTURES.md §3). Ties in the packed key would keep every
-    tied row in both strategies.
-
-    Winner choice is arrival-order independent, so results are
-    identical under any parallelism (north_rule determinism).
-
-    ``count_col=None`` skips duplicate counting entirely: partial
-    winner tables shrink to (key, sortkey) pairs — a third less combine
-    traffic — for pipelines that never read ``n_dup_dropped``.
-
-    ``derive_fn``: an optional map_batches fn producing ``key_col``
-    from the raw columns (e.g. SURT canonicalization). When given, the
-    EXPENSIVE derivation runs over all rows only ONCE (the winner-key
-    pass); the filter pass matches on ``sortkey`` alone — a pure
-    function of the raw order columns — and re-derives only the
-    SURVIVORS (~uniques). With a 30x duplication factor that removes
-    ~97% of the second derivation pass. Winner membership by sortkey
-    is exact because the packed key is unique per row (the contract
-    above).
-    """
-    from ray.data.aggregate import Count, Min
-
-    if num_partitions is None:
-        num_partitions = default_join_partitions()
-    ds = ds.map_batches(add_packed_order(cols_bits), batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-    # Ray's sort/hash aggregates coerce group keys to int64 (uint64
-    # values above 2^63-1 degrade to pickled objects); aggregate and
-    # join on a bit-reinterpreted int64 view so keys stay primitive.
-    def add_join_key(batch: pa.Table) -> pa.Table:
-        k = batch[key_col]
-        if pa.types.is_unsigned_integer(k.type):
-            v = k.to_numpy(zero_copy_only=False).astype(np.uint64)
-            k = pa.array(v.view(np.int64), pa.int64())
-        else:
-            k = pc.cast(k, pa.int64())
-        if "_fw_key" in batch.column_names:
-            batch = batch.drop_columns(["_fw_key"])
-        return batch.append_column("_fw_key", k)
-
-    if strategy == "auto":
-        ds = ds.materialize()
-        strategy = "broadcast" if ds.count() <= broadcast_limit else "join"
-    elif strategy == "broadcast":
-        ds = ds.materialize()
-
-    # `derived` feeds the winner-key pass (needs key_col); `ds` stays
-    # the raw side the filter pass re-executes / reuses.
-    derived = ds.map_batches(derive_fn, batch_format="pyarrow",
-                             batch_size=None, zero_copy_batch=True) \
-        if derive_fn else ds
-    derived = derived.map_batches(add_join_key, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-
-    if strategy in ("broadcast", "broadcast_recompute"):
-        # Map-side partial winner tables -> one distributed combine
-        # round -> driver merge -> broadcast filter. NO all-to-all
-        # shuffle: only (key, min_sortkey, count) triples move, once.
-        # 'broadcast' shares one upstream execution via the materialize
-        # above (object store, spill-safe); 'broadcast_recompute'
-        # keeps the input fully STREAMING and re-executes the pure,
-        # deterministic upstream for the filter pass — embarrassingly
-        # parallel recompute traded for zero object-store footprint.
-        import ray as _ray
-
-        want_counts = count_col is not None
-
-        def merge_runs(k, s, c=None):
-            # single-key argsort + reduceat-min beats a (s, k) lexsort
-            # ~2x on random keys; winner = min sortkey per key either way
-            order = np.argsort(k, kind="stable")
-            ks, ss = k[order], s[order]
-            first = np.ones(len(ks), dtype=bool)
-            first[1:] = ks[1:] != ks[:-1]
-            idx = np.flatnonzero(first)
-            if not len(idx):
-                empty = np.zeros(0, np.int64)
-                return empty, empty, (empty if c is not None else None)
-            mins = np.minimum.reduceat(ss, idx)
-            if c is None:
-                return ks[idx], mins, None
-            cnt = np.add.reduceat(c[order], idx)
-            return ks[idx], mins, cnt
-
-        def partial_winners(batch: pa.Table) -> pa.Table:
-            k = batch["_fw_key"].to_numpy(zero_copy_only=False)
-            s = batch["sortkey"].to_numpy(zero_copy_only=False)
-            c = None
-            if want_counts:
-                c = (batch["grp_rows"].to_numpy(zero_copy_only=False)
-                     if "grp_rows" in batch.column_names
-                     else np.ones(len(k), np.int64))
-            k2, s2, c2 = merge_runs(k, s, c)
-            out = {"_fw_key": pa.array(k2, pa.int64()),
-                   "sortkey": pa.array(s2, pa.int64())}
-            if want_counts:
-                out["grp_rows"] = pa.array(c2, pa.int64())
-            return pa.table(out)
-
-        # Combine the per-block partials into the global winner table.
-        # Ray Data's own groupby().aggregate() measured ~20x slower
-        # than either path below on narrow int64 triples, and a
-        # repartition() barrier was worse still — so: small partial
-        # sets merge on the driver (polars, multi-threaded); large
-        # ones go through a manual two-stage hash shuffle with raw
-        # Ray tasks (split each block into key-hash buckets, merge
-        # each bucket in parallel) so the driver only ever receives
-        # DISTINCT winners, keeping driver work O(unique keys) no
-        # matter the duplication factor.
-        import os as _os
-
-        # Project to the 16-byte (key, sortkey) pair and reduce PER
-        # BLOCK, fully fused into the read+derive task (a batch_size
-        # override here would split the plan at the read and push raw
-        # url blocks through plasma — measured 2-4x slower); cross-
-        # block duplicates fold in the distributed combine below.
-        proj = derived.select_columns(["_fw_key", "sortkey"])
-        parts = proj.map_batches(partial_winners, batch_size=None,
-                                 zero_copy_batch=True,
-                                 batch_format="pyarrow").materialize()
-        prefs = parts.to_arrow_refs()
-        total_partials = parts.count()
-
-        # threshold is env-overridable so tests can force the task-graph
-        # combine on fixture-size data
-        _thresh = int(_os.environ.get("GRAFT_FW_COMBINE_THRESHOLD",
-                                      "2000000"))
-        if total_partials <= _thresh or len(prefs) < 2:
-            refs = _ray.get(prefs)
-            if refs:
-                ptbl = pa.concat_tables(refs)
-                import polars as pl
-
-                aggs = [pl.col("sortkey").min()]
-                if want_counts:
-                    aggs.append(pl.col("grp_rows").sum())
-                agg = (pl.from_arrow(ptbl)
-                       .group_by("_fw_key")
-                       .agg(*aggs)
-                       .sort("sortkey"))
-                wk = agg["sortkey"].to_numpy().astype(np.int64)
-                wc = (agg["grp_rows"].to_numpy().astype(np.int64)
-                      if want_counts else None)
-            else:
-                wk = np.zeros(0, np.int64)
-                wc = np.zeros(0, np.int64) if want_counts else None
-        else:
-            nbuckets = max(8, num_partitions * 2)
-
-            @_ray.remote
-            def split_buckets(nb: int, *tbls):
-                # combiner BEFORE the exchange: reduce this task's whole
-                # chunk to one winner per key (callers size chunks to
-                # ~2M+ rows, so cross-block duplicates — which per-block
-                # partials can't see — fold here and never hit the
-                # wire), then emit the reduced set sliced by key-hash
-                # bucket (argsort + take + zero-copy slices; nb filter
-                # scans would read the data nb times)
-                tbl = pa.concat_tables(tbls)
-                ck, cs, cc = merge_runs(
-                    tbl["_fw_key"].to_numpy(zero_copy_only=False),
-                    tbl["sortkey"].to_numpy(zero_copy_only=False),
-                    (tbl["grp_rows"].to_numpy(zero_copy_only=False)
-                     if "grp_rows" in tbl.column_names else None))
-                cols = {"_fw_key": pa.array(ck, pa.int64()),
-                        "sortkey": pa.array(cs, pa.int64())}
-                if cc is not None:
-                    cols["grp_rows"] = pa.array(cc, pa.int64())
-                t = pa.table(cols)
-                b = ck.view(np.uint64) % np.uint64(nb)
-                order = np.argsort(b, kind="stable")
-                t = t.take(pa.array(order))
-                bounds = np.searchsorted(b[order], np.arange(nb + 1))
-                return tuple(t.slice(bounds[p], bounds[p + 1] - bounds[p])
-                             for p in range(nb))
-
-            @_ray.remote
-            def merge_bucket(*tbls):
-                t = pa.concat_tables(tbls)
-                k2, s2, c2 = merge_runs(
-                    t["_fw_key"].to_numpy(zero_copy_only=False),
-                    t["sortkey"].to_numpy(zero_copy_only=False),
-                    (t["grp_rows"].to_numpy(zero_copy_only=False)
-                     if "grp_rows" in t.column_names else None))
-                out = {"sortkey": pa.array(s2, pa.int64())}
-                if c2 is not None:
-                    out["grp_rows"] = pa.array(c2, pa.int64())
-                return pa.table(out)
-
-            # Split-task count: one per CPU for parallelism, but never
-            # so many that a task's chunk drops under ~1.2M rows — the
-            # in-task combiner needs a wide window to fold cross-block
-            # duplicates before they hit the exchange (tiny chunks
-            # degenerate to the old no-reduction split).
-            cpus = (int(_ray.cluster_resources().get("CPU", 8))
-                    if _ray.is_initialized() else 8)
-            floor_rows = max(_thresh // 2, 1)
-            n_split = max(1, min(len(prefs), cpus,
-                                 total_partials // floor_rows))
-            chunk = (len(prefs) + n_split - 1) // n_split
-            groups = [prefs[i:i + chunk]
-                      for i in range(0, len(prefs), chunk)]
-            splits = [split_buckets.options(num_returns=nbuckets)
-                      .remote(nbuckets, *g) for g in groups]
-            merged = [merge_bucket.remote(*[s[p] for s in splits])
-                      for p in range(nbuckets)]
-            pieces = _ray.get(merged)
-            wk = np.concatenate([p["sortkey"].to_numpy() for p in pieces])
-            order2 = np.argsort(wk, kind="stable")
-            if want_counts:
-                wc = np.concatenate([p["grp_rows"].to_numpy()
-                                     for p in pieces])[order2]
-            else:
-                wc = None
-            wk = wk[order2]
-        ref = _ray.put((wk, wc))
-
-        def bfilter(batch: pa.Table) -> pa.Table:
-            from ..pipelines.frontier import _get_broadcast
-
-            keys, counts = _get_broadcast(ref)
-            sk = batch["sortkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(keys, sk)
-            pos_c = np.minimum(pos, max(len(keys) - 1, 0))
-            hit = (keys[pos_c] == sk) if len(keys) else np.zeros(len(sk), bool)
-            batch = batch.filter(pa.array(hit))
-            if counts is not None:
-                nd = counts[pos_c[hit]] - 1
-                batch = batch.append_column(count_col,
-                                            pa.array(nd, pa.int64()))
-            return batch.drop_columns(
-                [c for c in ("sortkey", "_fw_key")
-                 if c in batch.column_names])
-
-        out = ds.map_batches(bfilter, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    def route(batch: pa.Table) -> pa.Table:
         if derive_fn is not None:
-            out = out.map_batches(derive_fn, batch_format="pyarrow",
-                                  batch_size=None, zero_copy_batch=True)
-        return out
+            batch = derive_fn(batch)
+        k = batch[key_col].to_numpy(zero_copy_only=False)
+        return batch.append_column("_fw_bucket", pa.array(
+            (k.astype(np.uint64) % nb).astype(np.int64)))
 
-    winners = derived.groupby("_fw_key").aggregate(
-        Min("sortkey", alias_name="win_sortkey"),
-        Count(alias_name="grp_rows"),
-    )
-    # sortkeys are globally unique (the contract), so joining the RAW
-    # side on sortkey alone is exact and the raw rows never need the
-    # derived key column.
-    join_left = ds if derive_fn else derived
-    joined = join_left.join(winners, join_type="inner",
-                            num_partitions=num_partitions,
-                            on=(("sortkey",) if derive_fn
-                                else ("_fw_key", "sortkey")),
-                            right_on=(("win_sortkey",) if derive_fn
-                                      else ("_fw_key", "win_sortkey")))
+    return route
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        if count_col is not None:
-            nd = pc.subtract(pc.cast(batch["grp_rows"], pa.int64()), 1)
-            batch = batch.append_column(count_col, nd)
-        drop = [c for c in ("sortkey", "win_sortkey", "grp_rows", "_fw_key")
-                if c in batch.column_names]
-        return batch.drop_columns(drop)
 
-    out = joined.map_batches(finalize, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    if derive_fn is not None:
-        out = out.map_batches(derive_fn, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-    return out
+def _first_wins_bucket(key_col: str, order, t: pa.Table) -> pa.Table:
+    return first_wins(t.drop_columns(["_fw_bucket"]), key_col, order)
+
+
+def first_wins_dedup(ds: ray.data.Dataset, key_col: str, cols_bits,
+                     derive_fn=None) -> ray.data.Dataset:
+    """Exact first-wins dedup of a Dataset: per integer ``key_col``,
+    keep the row with the smallest ``cols_bits`` column tuple and
+    append ``n_dup_dropped`` (see :func:`first_wins`).
+
+    ``cols_bits`` is ``[(column, bits), ...]``, most significant
+    first; only the column names are used (the widths are ignored).
+    ``derive_fn`` (e.g. SURT canonicalization producing ``key_col``)
+    runs once per row in the streaming pass. Rows then route by
+    ``uint64(key) % B`` into ONE ``exchange.hash_bucket_apply`` round
+    whose merge is :func:`first_wins`; every copy of a key shares a
+    bucket, so the per-bucket dedup is exact; with an order tuple
+    unique per key (a unique ``seed_order``), the winners do not
+    depend on parallelism or arrival order.
+    """
+    from .exchange import hash_bucket_apply, hash_round_buckets
+
+    order = tuple(c for c, _ in cols_bits)
+    nb = hash_round_buckets()
+    tagged = ds.map_batches(_route_by_key(key_col, nb, derive_fn),
+                            batch_format="pyarrow", batch_size=None,
+                            zero_copy_batch=True)
+    return hash_bucket_apply(tagged, "_fw_bucket",
+                             partial(_first_wins_bucket, key_col, order),
+                             num_buckets=nb)
 
 
 # ---------------------------------------------------------------------------

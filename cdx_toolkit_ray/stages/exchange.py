@@ -330,6 +330,15 @@ def superstep_buckets(num_buckets: int | None) -> int:
     return min(32, max(4, _cluster_cpus()))
 
 
+def hash_round_buckets() -> int:
+    """A Dataset-level hash round's bucket count (the frontier's host
+    round, ``dedup.first_wins_dedup``): ``min(64, max(8, 2 * cpus))``.
+    Each split task emits one object per bucket, so the count follows
+    the cluster (64 buckets at 2 CPUs is ~2k tiny plasma objects whose
+    fixed cost dwarfs the kernel work)."""
+    return min(64, max(8, 2 * _cluster_cpus()))
+
+
 def _chunked(refs: Sequence, max_tasks: int | None = None):
     if max_tasks is None:
         # one split task per CPU (min 8 so small clusters still

@@ -22,10 +22,11 @@ that becomes cluster state:
 Determinism note: concurrent ``offer`` arrival order is
 nondeterministic, so the STREAMING seen-set is used for cross-run /
 incremental membership. The frontier pipeline's dedup-for-scheduling is
-exact: one lexsort per host bucket of ``pipelines/frontier.py``'s host
-round keeps, per ``hash64``, the row with the smallest (priority,
-seed_order), a rule that is arrival-order independent; the bloom path
-is verified against it for zero false negatives.
+exact: ``stages/dedup.first_wins`` (one lexsort per bucket of
+``pipelines/frontier.py``'s host round) keeps, per ``hash64``, the row
+with the smallest (priority, seed_order), a rule that is arrival-order
+independent; the bloom path is verified against it for zero false
+negatives.
 """
 
 from __future__ import annotations
@@ -518,8 +519,9 @@ class SeenFilterStage:
 
     Holds the shard handles; one routed actor round-trip per batch.
     Use for INCREMENTAL runs (membership vs prior crawls); in-run
-    scheduling dedup is the exact first-wins kernel of the frontier's
-    host round (``pipelines/frontier.py``).
+    scheduling dedup is the exact first-wins kernel
+    ``stages/dedup.first_wins``, run per bucket of the frontier's host
+    round (``pipelines/frontier.py``).
     """
 
     def __init__(self, seen: ShardedSeenSet, hash_col: str = "hash64"):

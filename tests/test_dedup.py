@@ -111,36 +111,73 @@ def test_minhash_skewed_corpus_distributed():
     assert (out.jaccard == 1.0).all()
 
 
-def test_first_wins_task_graph_combine_matches_driver_merge(monkeypatch):
-    """The task-graph winner combine (split tasks run the in-task
-    combiner, then bucket-merge) must produce exactly the same winners
-    and duplicate counts as the small-input driver merge. Forced onto
-    fixture-size data via GRAFT_FW_COMBINE_THRESHOLD."""
+def _serial_first_wins(keys, prio, order):
+    """Reference: per key, the row with the smallest (priority,
+    seed_order) and how many other rows share the key."""
+    best: dict = {}
+    rows: dict = {}
+    for k, p, s in zip(keys.tolist(), prio.tolist(), order.tolist()):
+        rows[k] = rows.get(k, 0) + 1
+        if k not in best or (p, s) < best[k]:
+            best[k] = (p, s)
+    return {s: rows[k] - 1 for k, (_, s) in best.items()}
+
+
+def test_first_wins_dedup_matches_serial_reference():
+    """One hash-routed round over 12 blocks whose uint64 keys all have
+    the top bit set keeps, per key, the min (priority, seed_order) row
+    (seed_order breaks priority ties, not arrival order) and counts
+    the other rows exactly; derive_fn runs once per row; an empty
+    input gives no rows."""
     import pyarrow as pa
 
     rng = np.random.default_rng(11)
     n, blocks = 12_000, 12
     key = rng.integers(0, 1_500, n)
-    tables = [pa.table({
-        "k": pa.array((key[i::blocks] * 2654435761 % (1 << 63))
-                      .astype(np.uint64)),
-        "priority": pa.array((key[i::blocks] % 4).astype(np.int64)),
-        "seed_order": pa.array(np.arange(i, n, blocks, dtype=np.int64)),
-    }) for i in range(blocks)]
+    k64 = (key.astype(np.uint64) * np.uint64(2654435761)) \
+        | np.uint64(1 << 63)
+    prio = rng.integers(0, 3, n)
+    order = rng.permutation(n)
+    want = _serial_first_wins(k64, prio, order)
+    ties = {}
+    for k, p in zip(k64.tolist(), prio.tolist()):
+        ties.setdefault(k, []).append(p)
+    assert sum(v.count(min(v)) > 1 for v in ties.values()) > 100
 
-    def run():
-        ds = ray.data.from_arrow(tables)
-        out = dd.first_wins_dedup(
-            ds, "k", [("priority", 19), ("seed_order", 44)],
-            strategy="broadcast", count_col="n_dup")
-        return (out.to_pandas()
-                .sort_values("seed_order").reset_index(drop=True))
+    def block(i, cols):
+        return pa.table({c: v[i::blocks] for c, v in cols.items()})
 
-    ref = run()  # driver polars merge (under default threshold)
-    monkeypatch.setenv("GRAFT_FW_COMBINE_THRESHOLD", "100")
-    forced = run()  # task-graph combine
-    assert ref.equals(forced)
-    assert forced["n_dup"].sum() == n - len(forced)
+    cols = {"k": k64, "priority": prio, "seed_order": order}
+    out = dd.first_wins_dedup(
+        ray.data.from_arrow([block(i, cols) for i in range(blocks)]),
+        "k", [("priority", 19), ("seed_order", 44)]).to_pandas()
+    assert list(out.columns) == ["k", "priority", "seed_order",
+                                 "n_dup_dropped"]
+    assert (out["k"] >= np.uint64(1 << 63)).all()
+    assert dict(zip(out["seed_order"], out["n_dup_dropped"])) == want
+
+    # derive_fn: the key column is derived in the streaming pass
+    def derive(batch: pa.Table) -> pa.Table:
+        raw = batch["raw"].to_numpy(zero_copy_only=False)
+        return batch.append_column(
+            "k", pa.array((raw.astype(np.uint64) * np.uint64(2654435761))
+                          | np.uint64(1 << 63)))
+
+    raw = {"raw": key, "priority": prio, "seed_order": order}
+    out = dd.first_wins_dedup(
+        ray.data.from_arrow([block(i, raw) for i in range(blocks)]),
+        "k", [("priority", 19), ("seed_order", 44)],
+        derive_fn=derive).to_pandas()
+    assert list(out.columns) == ["raw", "priority", "seed_order", "k",
+                                 "n_dup_dropped"]
+    assert dict(zip(out["seed_order"], out["n_dup_dropped"])) == want
+
+    empty = pa.table({"k": pa.array([], pa.uint64()),
+                      "priority": pa.array([], pa.int64()),
+                      "seed_order": pa.array([], pa.int64())})
+    assert dd.first_wins_dedup(ray.data.from_arrow(empty), "k",
+                               [("priority", 19), ("seed_order", 44)]
+                               ).count() == 0
 
 
 def test_minhash_pairs_empty_candidates_short_circuit():

@@ -8,15 +8,16 @@ item 7).
 Two subjects:
 
 * ``frontier``  — the north_rule flagship (bench.run_frontier) over a
-  GRAFT_REPLICATE-inflated seeds table. Its dedup strategy is
-  'broadcast_recompute' (nothing input-sized pinned), so the evidence
-  here is bounded-memory streaming: the store stays oversubscribed by
-  the in-flight blocks only and the run completes.
+  GRAFT_REPLICATE-inflated seeds table. Its host round
+  (``hash_bucket_apply``) materializes the canonicalized stream, so
+  the evidence here is spill: the store is oversubscribed by the
+  round's input and the run completes.
 * ``text``      — a text-heavy dedup: the sf documents table
   replicated in-memory N times (shifted doc_ids, identical text),
   MATERIALIZED (the pressure generator — pins the whole inflated
   corpus in a store sized well below it, forcing plasma spill), then
-  exact first-wins text dedup. Correctness gate: survivors ==
+  ``exact_dedup`` on the text (min doc_id wins; only (key hash, id)
+  pairs shuffle, never the text). Correctness gate: survivors ==
   distinct texts of ONE copy.
 
 Usage:
@@ -120,7 +121,7 @@ def run_text(replicate: int, cpus: int) -> dict:
     import pyarrow as pa
     import ray.data
 
-    from cdx_toolkit_ray.stages.dedup import first_wins_dedup
+    from cdx_toolkit_ray.stages.dedup import exact_dedup
 
     path = os.path.join(SF_DIR, "documents.parquet")
     n_one = duckdb.sql(
@@ -137,24 +138,15 @@ def run_text(replicate: int, cpus: int) -> dict:
                 "text": batch["text"]}))
         return pa.concat_tables(out)
 
-    from cdx_toolkit_ray.canon import hash64_batch
-
-    def key(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "h", pa.array(hash64_batch(batch["text"].combine_chunks())
-                          .view("int64"), pa.int64()))
-
     t0 = time.monotonic()
     ds = (ray.data.read_parquet(path, columns=["doc_id", "text"])
           .map_batches(inflate, batch_format="pyarrow",
-                       batch_size=512)
-          .map_batches(key, batch_format="pyarrow", batch_size=None))
+                       batch_size=512))
     # THE PRESSURE: pin the whole inflated corpus (>> object store)
     ds = ds.materialize()
     total = ds.count()
     # dedup must read the pinned-and-spilled blocks back
-    survivors = first_wins_dedup(ds, "h", [("doc_id", 44)],
-                                 strategy="broadcast").count()
+    survivors = exact_dedup(ds, "text", "doc_id").count()
     wall = time.monotonic() - t0
     return {"rows_out": int(survivors), "wall_sec": round(wall, 2),
             "input_rows": int(total),
