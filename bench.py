@@ -194,8 +194,8 @@ def warmup(sf_dir: str, num_cpus: int) -> None:
                           override_num_blocks=num_cpus * 2)
     wide.map_batches(touch, batch_size=None).materialize()
 
-    # run the timed chain once on a 20k-row prefix: the fused read ->
-    # prepare pass and the host and range exchange rounds (cold closure
+    # run the timed chain once on a 20k-row prefix: the read and the
+    # host (with its prepare) and range exchange rounds (cold closure
     # serialization + worker imports cost ~1-2s the first time a
     # raw-task path runs — steady-state jobs never pay it per run)
     consume(frontier_chain(
@@ -203,9 +203,9 @@ def warmup(sf_dir: str, num_cpus: int) -> None:
 
 
 def frontier_chain(ds):
-    """Seeds -> one streaming pass (canonicalize, drop the raw url,
-    attach the crawl-delay and robots flags) -> ``dedup_schedule``
-    (first-wins dedup + politeness in one host round) ->
+    """Seeds -> ``dedup_schedule`` (one host round: its split tasks
+    canonicalize, drop the raw url and attach the crawl-delay and robots
+    flags; its merges run first-wins dedup + politeness) ->
     ``crawl_order``: the chain ``frontier_flow_from`` runs, with the
     broadcast host-delay table standing in for the robots gate."""
     import numpy as np
@@ -236,9 +236,7 @@ def frontier_chain(ds):
         return batch.append_column(
             "robots_blocked", pa.array(np.zeros(batch.num_rows, bool)))
 
-    ds = ds.map_batches(prepare, batch_format="pyarrow", batch_size=None,
-                        zero_copy_batch=True)
-    ds = crawl_order(dedup_schedule(ds))
+    ds = crawl_order(dedup_schedule(ds, prepare=prepare))
     return ds.select_columns(["urlkey", "host", "host_rank", "fetch_ms"])
 
 

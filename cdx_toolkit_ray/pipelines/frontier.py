@@ -14,17 +14,24 @@ host with crawl-delay ``d`` ms happens at ``r*d`` ms — which makes the
 whole schedule a pure function of (seed list, robots table): exactly
 reproducible by a serial oracle, independent of execution parallelism.
 
-Dataflow (one streaming pass, then two task-graph exchanges,
-stages/exchange.py):
+Dataflow (two task-graph exchanges, stages/exchange.py; no Ray Data
+execution before the first):
 
-  read seeds -> canonicalize_batch (urlkey, hash64, host; once per row)
-  -> robots gate (broadcast lookup; flags, never drops)
-  -> one host round: first-wins dedup per hash64 (stages/dedup.first_wins:
+  planned seeds read: footers give each file's rows and bytes, one read
+  task per file cuts it into row slices, one slice per split task
+  -> one host round. Its split tasks run the per-row pass (prepare=):
+     canonicalize_batch (urlkey, hash64, host; once per row) -> robots
+     gate (broadcast lookup; flags, never drops) -> route tag. Its
+     merges run first-wins dedup per hash64 (stages/dedup.first_wins:
      winner = min (priority, seed_order), n_dup_dropped), then
      politeness over the winners (host_rank, fetch_ms = rank * delay)
                                                       [frontier_flow]
   -> range_order(fetch_ms, priority, seed_order) of host_rank >= 0
                                                       [crawl_order]
+
+Seeds over the exchange budget, and the distributed robots join, read
+with ``ray.data.read_parquet`` instead; the join keeps canonicalize and
+the gate as Dataset operators before the same round.
 
 The round routes by ``hash64(host without ^www\\d*\\.)``: SURT duplicates
 and every row of a raw host share it. The urlkey's host part would
@@ -114,21 +121,22 @@ def _robots_columns(batch: pa.Table, robots: dict, by_len: dict,
     """
     import polars as pl
 
-    hosts = batch["host"].to_numpy(zero_copy_only=False)
-    n = len(hosts)
-    codes, uniq = pd.factorize(hosts)
-    entries = [robots.get(h) for h in uniq]
+    # hosts numbered in first-appearance order (Arrow's hash kernel)
+    enc = batch["host"].combine_chunks().dictionary_encode(
+        null_encoding="encode")
+    codes = enc.indices.to_numpy(zero_copy_only=False)
+    entries = [robots.get(h) for h in enc.dictionary.to_pylist()]
     delay_u = np.array([e[0] if e is not None else default_delay_ms
                         for e in entries], np.int64)
     delays = delay_u[codes]
-    blocked = np.zeros(n, dtype=bool)
+    blocked = np.zeros(len(codes), dtype=bool)
     has_prefix = np.array([bool(e and e[1]) for e in entries])
     cand = np.flatnonzero(has_prefix[codes]) if has_prefix.any() else None
     if cand is not None and cand.size and by_len:
-        urls = batch["url"].to_numpy(zero_copy_only=False)[cand]
+        take = pa.array(cand)
         df = pl.DataFrame({
-            "host": pl.Series(hosts[cand].astype(str)),
-            "path": pl.Series(urls.astype(str)).str.extract(
+            "host": pl.from_arrow(batch["host"].take(take)),
+            "path": pl.from_arrow(batch["url"].take(take)).str.extract(
                 r"^[a-zA-Z][a-zA-Z0-9+.\-]*://[^/?#]*([^?#]*)", 1),
         }).with_columns(
             pl.when(pl.col("path").is_null() | (pl.col("path") == ""))
@@ -143,7 +151,8 @@ def _robots_columns(batch: pa.Table, robots: dict, by_len: dict,
 
 
 def make_robots_gate(robots_ref, default_delay_ms: int = DEFAULT_DELAY_MS):
-    """map_batches fn: flag robots-disallowed rows (broadcast path).
+    """``table -> table`` fn (a host round's prepare, or a map_batches
+    fn): flag robots-disallowed rows (broadcast path).
 
     The robots table is broadcast once (``ray.put`` on the driver, one
     cached ``ray.get`` per worker) — a lookup join with no shuffle
@@ -300,18 +309,32 @@ def _add_host_bucket(num_buckets: int, strip_www: bool = False):
     return add_bucket
 
 
-def _host_round(ds: ray.data.Dataset, kern) -> ray.data.Dataset:
+def _then(*fns):
+    """The picklable composition ``fns[-1](... fns[0](t))``, None
+    skipped."""
+    fns = [f for f in fns if f is not None]
+
+    def run(t: pa.Table) -> pa.Table:
+        for f in fns:
+            t = f(t)
+        return t
+
+    return run
+
+
+def _host_round(ds, kern, prepare=None) -> ray.data.Dataset:
     """ONE ``hash_bucket_apply`` exchange routed by the ``www``-stripped
-    host, running ``kern`` over each bucket."""
+    host, running ``kern`` over each bucket. ``prepare`` and then the
+    route tag run inside the round's split tasks; ``ds`` is a Dataset
+    or a planned read's block refs (``exchange.read_planned``)."""
     from ..stages.exchange import hash_bucket_apply, hash_round_buckets
 
     num_buckets = hash_round_buckets()
-    tagged = ds.map_batches(_add_host_bucket(num_buckets, strip_www=True),
-                            batch_format="pyarrow", batch_size=None,
-                            zero_copy_batch=True)
-    return hash_bucket_apply(tagged, "host_bucket",
-                             lambda t: kern(t.drop_columns(["host_bucket"])),
-                             num_buckets=num_buckets)
+    return hash_bucket_apply(
+        ds, "host_bucket", lambda t: kern(t.drop_columns(["host_bucket"])),
+        num_buckets=num_buckets,
+        prepare=_then(prepare, _add_host_bucket(num_buckets,
+                                                strip_www=True)))
 
 
 def schedule_politeness(ds: ray.data.Dataset, *, num_salts: int = 1,
@@ -321,14 +344,16 @@ def schedule_politeness(ds: ray.data.Dataset, *, num_salts: int = 1,
     return _host_round(ds, make_bucket_scheduler(num_salts, connections))
 
 
-def dedup_schedule(ds: ray.data.Dataset, *, num_salts: int = 1,
+def dedup_schedule(ds, *, prepare=None, num_salts: int = 1,
                    connections: int = 1) -> ray.data.Dataset:
     """First-wins dedup (``stages/dedup.first_wins``), then politeness
     over the winners, of a canonicalized, robots-gated Dataset in ONE
     :func:`_host_round` (SURT duplicates share a route, so per-bucket
-    dedup is exact)."""
+    dedup is exact). ``prepare`` (a picklable ``table -> table``
+    function) is the per-row pass that makes the rows canonicalized and
+    gated; it runs in the round's split tasks."""
     schedule = make_bucket_scheduler(num_salts, connections)
-    return _host_round(ds, lambda t: schedule(first_wins(t)))
+    return _host_round(ds, lambda t: schedule(first_wins(t)), prepare)
 
 
 #: the global crawl order: the virtual clock, ties broken
@@ -373,12 +398,35 @@ def frontier_flow(seeds_path: str, robots_path: str, *,
     per batch (no shuffle); a larger one goes through the distributed
     host-keyed join (``robots_gate_distributed``) — at 10^8+ hosts the
     robots table stops being the small side.
+
+    With the broadcast gate, the seeds are read by a footer-planned
+    read (``exchange.plan_parquet`` / ``read_planned``) whose slices go
+    straight to the host round, which canonicalizes and gates them in
+    its split tasks. Seeds over ``exchange.EXCHANGE_BYTES_BUDGET`` (by
+    footer bytes), none at all, or a nested seeds directory take
+    ``ray.data.read_parquet`` and :func:`frontier_flow_from` instead.
     """
-    ds = ray.data.read_parquet(seeds_path)
+    from ..stages.exchange import (EXCHANGE_BYTES_BUDGET, plan_parquet,
+                                   read_planned)
+
     if os.path.getsize(robots_path) > robots_budget_bytes:
-        return frontier_flow_from(ds, robots_path, num_salts=num_salts)
+        return frontier_flow_from(ray.data.read_parquet(seeds_path),
+                                  robots_path, num_salts=num_salts)
     robots_ref = ray.put(load_robots(robots_path))
-    return frontier_flow_from(ds, robots_ref, num_salts=num_salts)
+    plan = plan_parquet(seeds_path)
+    if (not plan or not sum(rows for _, rows, _ in plan)
+            or sum(nbytes for _, _, nbytes in plan) > EXCHANGE_BYTES_BUDGET):
+        return frontier_flow_from(ray.data.read_parquet(seeds_path),
+                                  robots_ref, num_salts=num_salts)
+    return dedup_schedule(read_planned(plan),
+                          prepare=_canon_gate(robots_ref),
+                          num_salts=num_salts)
+
+
+def _canon_gate(robots_ref):
+    """The broadcast path's per-row pass: ``canonicalize_batch``, then
+    the robots gate."""
+    return _then(canonicalize_batch, make_robots_gate(robots_ref))
 
 
 def frontier_flow_from(ds: ray.data.Dataset, robots_ref, *,
@@ -387,16 +435,19 @@ def frontier_flow_from(ds: ray.data.Dataset, robots_ref, *,
     seed_order [+ payload cols]); ``robots_ref`` is a ``ray.put``
     handle to the ``load_robots`` dict (or the dict itself), or a
     robots-table PATH string — the path routes through the distributed
-    host-keyed join instead of a broadcast. One streaming pass
-    (canonicalize, robots gate) feeds :func:`dedup_schedule`."""
-    ds = ds.map_batches(canonicalize_batch, batch_format="pyarrow",
-                        batch_size=None, zero_copy_batch=True)
+    host-keyed join instead of a broadcast.
+
+    With a broadcast handle, canonicalize and the gate are the
+    ``prepare`` of :func:`dedup_schedule`'s round, so no Dataset stage
+    runs between the read and the exchange. The distributed join keeps
+    canonicalize + join as Dataset operators before the round."""
     if isinstance(robots_ref, str):
-        ds = robots_gate_distributed(ds, robots_ref)
-    else:
-        ds = ds.map_batches(make_robots_gate(robots_ref), batch_size=None,
-                            batch_format="pyarrow")
-    return dedup_schedule(ds, num_salts=num_salts)
+        ds = ds.map_batches(canonicalize_batch, batch_format="pyarrow",
+                            batch_size=None, zero_copy_batch=True)
+        return dedup_schedule(robots_gate_distributed(ds, robots_ref),
+                              num_salts=num_salts)
+    return dedup_schedule(ds, prepare=_canon_gate(robots_ref),
+                          num_salts=num_salts)
 
 
 def host_counters(flow: ray.data.Dataset) -> ray.data.Dataset:

@@ -1141,9 +1141,7 @@ def q_frontier_hygiene(sf_dir: str):
     # fixture carries by design
     ds = ds.map_batches(spam_url_gate(max_digits=1 << 30),
                         batch_format="pyarrow", batch_size=None)
-    ds = ds.map_batches(_canon_allow_all, batch_format="pyarrow",
-                        batch_size=None)
-    ds = crawl_order(dedup_schedule(ds))
+    ds = crawl_order(dedup_schedule(ds, prepare=_canon_allow_all))
     return ds.select_columns(["urlkey", "host", "priority", "seed_order",
                               "n_dup_dropped", "host_rank", "fetch_ms"])
 

@@ -132,11 +132,11 @@ def _canon_allow_all(batch: pa.Table) -> pa.Table:
 
 def _frontier_over_seeds(sf_dir: str, *,
                          connections: int = 1) -> ray.data.Dataset:
-    """seeds -> canonicalize + gate -> one host round: first-wins dedup,
-    then politeness (pipelines/frontier.dedup_schedule)."""
-    ds = derived_seeds(sf_dir).map_batches(
-        _canon_allow_all, batch_format="pyarrow", batch_size=None)
-    return dedup_schedule(ds, connections=connections)
+    """seeds -> one host round (pipelines/frontier.dedup_schedule):
+    canonicalize + gate in its split tasks, then first-wins dedup and
+    politeness."""
+    return dedup_schedule(derived_seeds(sf_dir), prepare=_canon_allow_all,
+                          connections=connections)
 
 
 # ---------------------------------------------------------------------------

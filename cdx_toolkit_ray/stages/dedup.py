@@ -222,20 +222,16 @@ def first_wins(t: pa.Table, key_col: str = "hash64",
         "n_dup_dropped", pa.array(runs - 1, pa.int64()))
 
 
-def _route_by_key(key_col: str, num_buckets: int, derive_fn):
-    """map_batches fn: ``derive_fn`` (when given), then ``_fw_bucket =
-    uint64(key) % num_buckets`` — the key is already a 64-bit hash, so
-    it routes by its own bits."""
-    nb = np.uint64(num_buckets)
-
-    def route(batch: pa.Table) -> pa.Table:
-        if derive_fn is not None:
-            batch = derive_fn(batch)
-        k = batch[key_col].to_numpy(zero_copy_only=False)
-        return batch.append_column("_fw_bucket", pa.array(
-            (k.astype(np.uint64) % nb).astype(np.int64)))
-
-    return route
+def _key_bucket(key_col: str, num_buckets: int, derive_fn,
+                batch: pa.Table) -> pa.Table:
+    """``derive_fn`` (when given), then ``_fw_bucket = uint64(key) %
+    num_buckets`` — the key is already a 64-bit hash, so it routes by
+    its own bits."""
+    if derive_fn is not None:
+        batch = derive_fn(batch)
+    k = batch[key_col].to_numpy(zero_copy_only=False)
+    return batch.append_column("_fw_bucket", pa.array(
+        (k.astype(np.uint64) % np.uint64(num_buckets)).astype(np.int64)))
 
 
 def _first_wins_bucket(key_col: str, order, t: pa.Table) -> pa.Table:
@@ -251,23 +247,22 @@ def first_wins_dedup(ds: ray.data.Dataset, key_col: str, cols_bits,
     ``cols_bits`` is ``[(column, bits), ...]``, most significant
     first; only the column names are used (the widths are ignored).
     ``derive_fn`` (e.g. SURT canonicalization producing ``key_col``)
-    runs once per row in the streaming pass. Rows then route by
-    ``uint64(key) % B`` into ONE ``exchange.hash_bucket_apply`` round
-    whose merge is :func:`first_wins`; every copy of a key shares a
-    bucket, so the per-bucket dedup is exact; with an order tuple
-    unique per key (a unique ``seed_order``), the winners do not
-    depend on parallelism or arrival order.
+    and the route ``uint64(key) % B`` are the ``prepare`` of ONE
+    ``exchange.hash_bucket_apply`` round: they run once per row in its
+    split tasks, and its merge is :func:`first_wins`; every copy of a
+    key shares a bucket, so the per-bucket dedup is exact; with an
+    order tuple unique per key (a unique ``seed_order``), the winners
+    do not depend on parallelism or arrival order.
     """
     from .exchange import hash_bucket_apply, hash_round_buckets
 
     order = tuple(c for c, _ in cols_bits)
     nb = hash_round_buckets()
-    tagged = ds.map_batches(_route_by_key(key_col, nb, derive_fn),
-                            batch_format="pyarrow", batch_size=None,
-                            zero_copy_batch=True)
-    return hash_bucket_apply(tagged, "_fw_bucket",
+    return hash_bucket_apply(ds, "_fw_bucket",
                              partial(_first_wins_bucket, key_col, order),
-                             num_buckets=nb)
+                             num_buckets=nb,
+                             prepare=partial(_key_bucket, key_col, nb,
+                                             derive_fn))
 
 
 # ---------------------------------------------------------------------------

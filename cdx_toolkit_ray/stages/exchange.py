@@ -35,7 +35,15 @@ balls.py) — is made of the three parts below.
 :func:`hash_bucket_apply` (the ``groupby().map_groups()`` twin) and
 :func:`range_order` (the ``Dataset.sort()`` twin) are Dataset-level
 exchanges built from the same split: one SPLIT round over groups of
-blocks and one MERGE round per bucket or range.
+blocks and one MERGE round per bucket or range. Each runs its caller's
+per-block pass inside the split tasks — ``prepare`` (a ``table ->
+table`` map that may add the bucket column) for the hash round,
+``where`` (a row filter) for the range round — so that pass is no
+Ray Data execution of its own. :func:`hash_bucket_apply` also takes
+block refs instead of a Dataset: :func:`plan_parquet` reads row counts
+and byte sizes from the Parquet footers, and :func:`read_planned` cuts
+the files into about one slice per split task, which go straight to
+the round.
 
 Scale contract: a round is O(blocks + buckets) tasks, and the driver
 holds only object refs plus O(buckets) scalars per round (row counts,
@@ -43,18 +51,22 @@ change counters, a max, range samples) — never rows. Edges are split
 once and stay in the object store for every iteration; a round moves
 only its narrow message stream. An input to the two Dataset-level
 exchanges over ``EXCHANGE_BYTES_BUDGET`` falls back to the executor
-operator, which brings its spill/backpressure machinery.
+operator, which brings its spill/backpressure machinery; a planned
+read's caller checks the same budget against the footer bytes and
+reads with ``ray.data.read_parquet`` above it.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data
 
@@ -88,9 +100,9 @@ def _returns(out):
     return out[0] if isinstance(out, list) and len(out) == 1 else out
 
 
-def _submit(task, n: int, *args) -> list:
+def _submit(task, n: int, *args, **kwargs) -> list:
     """Submit ``task`` with ``num_returns=n``; always a list of n refs."""
-    refs = task.options(num_returns=n).remote(*args)
+    refs = task.options(num_returns=n).remote(*args, **kwargs)
     return [refs] if n == 1 else list(refs)
 
 
@@ -110,8 +122,11 @@ def fan_out(fn: Callable, n: int, *args) -> list:
 
 
 def concat(tables: Sequence[pa.Table]) -> pa.Table:
-    """One inbox as one table (typed empty slices keep the schema)."""
+    """One inbox as one table. With no rows anywhere, a slice that has a
+    schema stands for the inbox (a split group of only empty blocks
+    sends column-less slices)."""
     return pa.concat_tables([t for t in tables if t.num_rows]
+                            or [t for t in tables if t.num_columns][:1]
                             or list(tables[:1]),
                             promote_options="permissive")
 
@@ -250,18 +265,13 @@ def _as_arrow(tbl) -> pa.Table:
 
 
 @ray.remote
-def _nrows(tbl) -> int:
-    return tbl.num_rows if isinstance(tbl, pa.Table) else len(tbl)
-
-
-@ray.remote
-def _split_hash(bucket_col: str, nb: int, *tbls):
+def _split_hash(bucket_col: str, nb: int, *tbls, prepare=None):
     # a map_batches stage that filters a block to zero rows can emit a
-    # SCHEMA-LESS empty block (no bucket column); it carries no rows,
-    # so it splits into nb empties rather than aborting the exchange
+    # SCHEMA-LESS empty block (no bucket column); empty blocks carry no
+    # rows, so a group of only those splits into nb column-less empties
+    # (concat skips them at the merge) rather than aborting the exchange
     live = [_as_arrow(t) for t in tbls]
-    live = [t for t in live
-            if t.num_rows or bucket_col in t.column_names]
+    live = [t if prepare is None else prepare(t) for t in live if t.num_rows]
     if not live:
         return _returns([pa.table({})] * nb)
     tbl = pa.concat_tables(live, promote_options="permissive")
@@ -339,14 +349,67 @@ def hash_round_buckets() -> int:
     return min(64, max(8, 2 * _cluster_cpus()))
 
 
+def _split_tasks() -> int:
+    """A Dataset-level round's split task count: one per CPU (min 8 so
+    small clusters still parallelize the fetches); more tasks than CPUs
+    only multiplies per-object scheduling cost."""
+    return min(32, max(8, _cluster_cpus()))
+
+
 def _chunked(refs: Sequence, max_tasks: int | None = None):
     if max_tasks is None:
-        # one split task per CPU (min 8 so small clusters still
-        # parallelize the fetches); more tasks than CPUs only
-        # multiplies per-object scheduling cost
-        max_tasks = min(32, max(8, _cluster_cpus()))
+        max_tasks = _split_tasks()
     chunk = max(1, (len(refs) + max_tasks - 1) // max_tasks)
     return [refs[i:i + chunk] for i in range(0, len(refs), chunk)]
+
+
+# -- planned Parquet read ---------------------------------------------------
+
+def plan_parquet(path: str) -> list | None:
+    """``(file, rows, uncompressed bytes)`` per Parquet file of ``path``,
+    read from the footers: one file, or a flat directory's files in
+    sorted order (names starting with ``.`` or ``_`` skipped). None for
+    a directory with subdirectories: hive partition columns are
+    ``ray.data.read_parquet``'s job."""
+    if os.path.isfile(path):
+        files = [path]
+    else:
+        names = [n for n in sorted(os.listdir(path))
+                 if not n.startswith((".", "_"))]
+        files = [os.path.join(path, n) for n in names]
+        if any(os.path.isdir(f) for f in files):
+            return None
+    plan = []
+    for f in files:
+        md = pq.read_metadata(f)
+        plan.append((f, md.num_rows,
+                     sum(md.row_group(i).total_byte_size
+                         for i in range(md.num_row_groups))))
+    return plan
+
+
+@ray.remote
+def _read_slices(path: str, k: int):
+    """One Parquet file read by one task, cut into ``k`` zero-copy row
+    slices (Ray serializes only each slice's buffer range)."""
+    t = pq.ParquetFile(path).read()
+    step = -(-t.num_rows // k)
+    return _returns([t.slice(i * step, step) for i in range(k)])
+
+
+def read_planned(plan: list) -> list:
+    """Refs to the row slices of a :func:`plan_parquet` plan: one read
+    task per file. The slices number about one per split task of a
+    Dataset-level round, each file's share in proportion to its rows
+    (at least one slice per file), so each split task reads one slice
+    and no Ray Data execution runs before the exchange."""
+    n = _split_tasks()
+    total = max(1, sum(rows for _, rows, _ in plan))
+    refs = []
+    for f, rows, _ in plan:
+        k = max(1, min(rows, round(n * rows / total)))
+        refs += _submit(_read_slices, k, f, k)
+    return refs
 
 
 #: direct-task-graph budget: a materialized input above this falls back
@@ -368,10 +431,12 @@ def _over_budget(mat: ray.data.Dataset, bytes_budget: int | None,
     return True
 
 
-def hash_bucket_apply(ds: ray.data.Dataset, bucket_col: str,
+def hash_bucket_apply(ds: ray.data.Dataset | Sequence[ray.ObjectRef],
+                      bucket_col: str,
                       merge_fn: Callable[[pa.Table], pa.Table], *,
                       num_buckets: int = 64,
-                      bytes_budget: int = EXCHANGE_BYTES_BUDGET
+                      bytes_budget: int = EXCHANGE_BYTES_BUDGET,
+                      prepare: Callable[[pa.Table], pa.Table] | None = None
                       ) -> ray.data.Dataset:
     """Group-apply as one task graph.
 
@@ -381,34 +446,49 @@ def hash_bucket_apply(ds: ray.data.Dataset, bucket_col: str,
     kernels (like the politeness scheduler) that handle multiple
     groups per call.
 
+    ``prepare`` (a picklable ``table -> table`` function, the twin of
+    :func:`range_order`'s ``where``) runs on each non-empty input block
+    inside the split tasks, before routing, and may add ``bucket_col``
+    itself: the per-row pass that feeds the round is no execution of
+    its own, and its output is never pinned before the split.
+
+    ``ds`` is a Dataset, or a list of refs to Arrow tables with at least
+    one row in total (a planned read, :func:`read_planned`); refs go to
+    the split tasks as they are, with no materialize and no budget
+    check (their planner sized them).
+
     Executes eagerly (the task graph needs materialized input blocks);
     the input should be the narrow/post-reduction stream of a pipeline,
-    not its raw input. A stream over ``bytes_budget`` falls back to the
-    executor ``groupby().map_groups()`` path (same rows, executor
-    spill/backpressure instead of object-store pressure).
+    not its raw input. A Dataset over ``bytes_budget`` falls back to the
+    executor ``map_batches(prepare)`` + ``groupby().map_groups()`` path
+    (same rows, executor spill/backpressure instead of object-store
+    pressure).
     """
-    mat = ds.materialize()
-    if _over_budget(mat, bytes_budget, "hash_bucket_apply"):
-        return mat.groupby(bucket_col).map_groups(
-            merge_fn, batch_format="pyarrow")
-    refs = mat.to_arrow_refs()
-    # upstream Filter/map stages emit schema-less zero-row blocks that
-    # would poison pa.concat_tables — drop them (worker-side row-count
-    # probe; blocks stay in the object store)
-    counts = ray.get([_nrows.remote(r) for r in refs])
-    refs = [r for r, n in zip(refs, counts) if n]
-    if not refs:
-        # empty input: run merge_fn once over an empty typed table so
-        # the OUTPUT schema (what downstream select_columns sees) is
-        # merge_fn's, not the input's
-        try:
-            empty = mat.schema().base_schema.empty_table()
-            return ray.data.from_arrow(merge_fn(empty))
-        except Exception:
-            return mat
+    if isinstance(ds, ray.data.Dataset):
+        mat = ds.materialize()
+        if _over_budget(mat, bytes_budget, "hash_bucket_apply"):
+            if prepare is not None:
+                mat = mat.map_batches(prepare, batch_format="pyarrow",
+                                      batch_size=None)
+            return mat.groupby(bucket_col).map_groups(
+                merge_fn, batch_format="pyarrow")
+        if not mat.count():
+            # empty input: run merge_fn once over an empty typed table so
+            # the OUTPUT schema (what downstream select_columns sees) is
+            # merge_fn's, not the input's
+            try:
+                empty = mat.schema().base_schema.empty_table()
+                if prepare is not None:
+                    empty = prepare(empty)
+                return ray.data.from_arrow(merge_fn(empty))
+            except Exception:
+                return mat
+        refs = mat.to_arrow_refs()
+    else:
+        refs = list(ds)
 
     nb = num_buckets
-    splits = [_submit(_split_hash, nb, bucket_col, nb, *g)
+    splits = [_submit(_split_hash, nb, bucket_col, nb, *g, prepare=prepare)
               for g in _chunked(refs)]
     return ray.data.from_arrow_refs(
         [_merge_bucket.remote(merge_fn, *[sp[b] for sp in splits])

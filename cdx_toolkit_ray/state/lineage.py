@@ -23,25 +23,19 @@ import os
 import shutil
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 MANIFEST_NAME = "_lineage.json"
 
 
 def fingerprint_file(path: str) -> str:
-    """Cheap content fingerprint: size + mtime-free header hash.
-
-    Hashes the Parquet footer metadata (schema + row-group stats), not
-    the full file — O(KB) per partition regardless of data size.
-    """
-    md = pq.read_metadata(path)
-    h = hashlib.sha256()
-    h.update(str(md.num_rows).encode())
-    h.update(str(md.num_row_groups).encode())
-    h.update(md.schema.to_arrow_schema().to_string().encode())
-    for i in range(md.num_row_groups):
-        h.update(str(md.row_group(i).total_byte_size).encode())
-    return h.hexdigest()[:16]
+    """Content fingerprint: blake2b over the file's bytes, streamed in
+    1 MB reads. Any edit changes it, even one that keeps every length,
+    row count and footer the same; the mtime does not enter it."""
+    h = hashlib.blake2b(digest_size=8)
+    with open(path, "rb") as fd:
+        while chunk := fd.read(1 << 20):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 class LineageManifest:

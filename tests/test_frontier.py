@@ -443,3 +443,69 @@ def test_parallel_connections_slot_sharing(ray_session):
     oh = one[(one.host == "h") & (one.host_rank >= 0)]
     assert sorted(oh["fetch_ms"].tolist()) == \
         [i * 1000 for i in range(9)]
+
+
+def _seed_layouts(tmp_path):
+    """The routing seeds (robots rules fire on them) as one file and as
+    a three-file directory of consecutive row ranges."""
+    seeds, robots, _ = _routing_seeds(tmp_path)
+    table = pq.read_table(seeds)
+    parts = tmp_path / "seeds_dir"
+    parts.mkdir()
+    cut = [0, 300, 650, table.num_rows]
+    for i in range(3):
+        pq.write_table(table.slice(cut[i], cut[i + 1] - cut[i]),
+                       str(parts / ("part-%d.parquet" % i)))
+    return (seeds, str(parts)), robots
+
+
+def _by_seed(ds, cols=None) -> pd.DataFrame:
+    df = ds.to_pandas()
+    cols = sorted(df.columns) if cols is None else cols
+    return df[cols].sort_values("seed_order").reset_index(drop=True)
+
+
+def test_frontier_flow_planned_read_matches_dataset_paths(tmp_path):
+    """frontier_flow's footer-planned read (canonicalize and gate in
+    the host round's split tasks) is row-identical to the Dataset read
+    through frontier_flow_from, with the broadcast gate and with the
+    distributed robots join, for one seeds file and a seeds directory;
+    the crawl order is identical too."""
+    import ray as _ray
+    import ray.data as rd
+
+    from cdx_toolkit_ray.pipelines.frontier import frontier_flow_from
+
+    layouts, robots = _seed_layouts(tmp_path)
+    robots_ref = _ray.put(load_robots(robots))
+    for path in layouts:
+        planned = frontier_flow(path, robots)
+        got = _by_seed(planned)
+        assert got["robots_blocked"].any() and (got["host_rank"] > 0).any()
+        bc = _by_seed(frontier_flow_from(rd.read_parquet(path), robots_ref))
+        assert got.equals(bc), path
+        dist = _by_seed(frontier_flow_from(rd.read_parquet(path), robots),
+                        list(got.columns))
+        assert got.equals(dist), path
+        order = crawl_order(planned).to_pandas()
+        want = crawl_order(frontier_flow_from(
+            rd.read_parquet(path), robots_ref)).to_pandas()
+        assert order[sorted(order.columns)].equals(
+            want[sorted(want.columns)]), path
+
+
+def test_frontier_flow_under_budget_never_runs_read_parquet(tmp_path,
+                                                            monkeypatch):
+    """Under the exchange budget the seeds reach the host round by the
+    planned read alone: ray.data.read_parquet is never called."""
+    import ray.data as rd
+
+    layouts, robots = _seed_layouts(tmp_path)
+    want = [_by_seed(frontier_flow(p, robots)) for p in layouts]
+
+    def boom(*a, **k):
+        raise AssertionError("ray.data.read_parquet called")
+
+    monkeypatch.setattr(rd, "read_parquet", boom)
+    for path, w in zip(layouts, want):
+        assert _by_seed(frontier_flow(path, robots)).equals(w), path

@@ -114,3 +114,31 @@ def test_atomic_write_dir(tmp_path):
     except RuntimeError:
         pass
     assert not os.path.exists(final2)
+
+
+def test_fingerprint_sees_same_length_edit(fixture_dir, tmp_path):
+    """A seed edit that keeps every length (so row counts and footer
+    sizes stay put) changes the fingerprint, and run_frontier reruns
+    its buckets instead of skipping them."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    seeds = str(tmp_path / "seeds.parquet")
+    table = pq.read_table(fixture_dir["seeds"])
+    pq.write_table(table, seeds)
+    before = fingerprint_file(seeds)
+    out = str(tmp_path / "run")
+    assert run_frontier(seeds, fixture_dir["robots"], out,
+                        num_buckets=4)["ran_buckets"] == [0, 1, 2, 3]
+
+    urls = table["url"].to_pylist()
+    old = urls[5]
+    urls[5] = old[:-1] + ("x" if old[-1] != "x" else "y")
+    edited = table.set_column(table.schema.get_field_index("url"), "url",
+                              pa.array(urls, table.schema.field("url").type))
+    pq.write_table(edited, seeds)
+    assert pq.read_metadata(seeds).num_rows == table.num_rows
+    assert fingerprint_file(seeds) != before
+    r2 = run_frontier(seeds, fixture_dir["robots"], out, num_buckets=4)
+    assert r2["ran_buckets"] == [0, 1, 2, 3]
+    assert r2["skipped_buckets"] == []

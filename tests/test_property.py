@@ -225,3 +225,94 @@ def test_hash_bucket_apply_budget_fallback_identical_rows():
     # second
     keys = list(zip(direct["odd"], direct["k"]))
     assert keys == sorted(keys) and len(set(direct["k"])) == 40
+
+
+
+def _exchange_kernels():
+    """A per-row pass that adds the bucket column and a derived one, and
+    a per-key sum kernel (defined in a function: Ray workers cannot
+    import this test module, so they travel by value)."""
+    def prepare(t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        k = t["k"].to_numpy(zero_copy_only=False)
+        return t.append_column("bucket", pa.array(k % 5, pa.int64())) \
+            .append_column("v2", pc.multiply(t["v"], 2))
+
+    def sum_per_key(tbl: pa.Table) -> pa.Table:
+        d = tbl.to_pandas()
+        g = d.groupby("k", as_index=False).agg(s=("v2", "sum"),
+                                               n=("v", "size"))
+        return pa.Table.from_pandas(g[["k", "s", "n"]],
+                                    preserve_index=False)
+
+    return prepare, sum_per_key
+
+
+@pytest.mark.parametrize("budget", [1 << 40, 0])
+def test_hash_bucket_apply_prepare_equals_map_batches(budget):
+    """hash_bucket_apply(ds, c, f, prepare=p) returns the rows of
+    hash_bucket_apply(ds.map_batches(p), c, f), on the direct path and
+    on the executor fallback (budget 0), and for an empty input."""
+    import pandas as pd
+    import ray.data
+
+    _prepare_bucket, _sum_per_key = _exchange_kernels()
+    rng = np.random.default_rng(5)
+    df = pd.DataFrame({"k": rng.integers(0, 60, 3000),
+                       "v": rng.integers(-9, 9, 3000)})
+    ds = ray.data.from_pandas(df).repartition(6)
+
+    def apply(d, prepare=None):
+        from cdx_toolkit_ray.stages.exchange import hash_bucket_apply
+
+        return hash_bucket_apply(d, "bucket", _sum_per_key, num_buckets=5,
+                                 bytes_budget=budget, prepare=prepare)
+
+    def run(d, prepare=None):
+        return apply(d, prepare).to_pandas().sort_values("k") \
+            .reset_index(drop=True)
+
+    mapped = ds.map_batches(_prepare_bucket, batch_format="pyarrow",
+                            batch_size=None)
+    want = run(mapped)
+    assert len(want) == 60
+    pd.testing.assert_frame_equal(run(ds, _prepare_bucket), want)
+    # empty input: merge_fn(prepare(empty)) gives the output schema
+    empty = ray.data.from_arrow(pa.Table.from_pandas(df.iloc[:0]))
+    got = apply(empty, _prepare_bucket)
+    assert got.count() == 0 and got.schema().names == ["k", "s", "n"]
+
+
+def test_hash_bucket_apply_block_refs_first_group_all_empty():
+    """Block-ref input whose first split group is all empty blocks (one
+    column-less, one typed): every merge still sees a typed table, even
+    the merge of a bucket no row routes to (bucket 5 of 6), and the rows
+    equal the serial reference."""
+    import pandas as pd
+    import ray
+
+    from cdx_toolkit_ray.stages.exchange import (_split_tasks,
+                                                 hash_bucket_apply)
+
+    _prepare_bucket, _sum_per_key = _exchange_kernels()
+    rng = np.random.default_rng(9)
+    live = [pa.table({"k": pa.array(rng.integers(0, 30, 200), pa.int64()),
+                      "v": pa.array(rng.integers(-9, 9, 200), pa.int64())})
+            for _ in range(2 * _split_tasks() - 2)]
+    blocks = [pa.table({}), live[0].slice(0, 0)] + live
+    seen = []
+
+    def merge(t: pa.Table) -> pa.Table:
+        assert t.column_names[:3] == ["k", "v", "bucket"], t.schema
+        seen.append(1)
+        return _sum_per_key(t)
+
+    got = hash_bucket_apply([ray.put(b) for b in blocks], "bucket", merge,
+                            num_buckets=6, prepare=_prepare_bucket) \
+        .to_pandas().sort_values("k").reset_index(drop=True)
+    want = pa.concat_tables(live).to_pandas().groupby(
+        "k", as_index=False).agg(s=("v", lambda v: int(2 * v.sum())),
+                                 n=("v", "size")) \
+        .sort_values("k").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got.astype("int64"), want.astype("int64"))

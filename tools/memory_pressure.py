@@ -9,9 +9,10 @@ Two subjects:
 
 * ``frontier``  — the north_rule flagship (bench.run_frontier) over a
   GRAFT_REPLICATE-inflated seeds table. Its host round
-  (``hash_bucket_apply``) materializes the canonicalized stream, so
-  the evidence here is spill: the store is oversubscribed by the
-  round's input and the run completes.
+  (``hash_bucket_apply``) materializes the raw seeds and canonicalizes
+  them in its split tasks, then ships every canonicalized copy to its
+  merges, so the evidence here is spill: the store is oversubscribed
+  by the round's input and shuffle, and the run completes.
 * ``text``      — a text-heavy dedup: the sf documents table
   replicated in-memory N times (shifted doc_ids, identical text),
   MATERIALIZED (the pressure generator — pins the whole inflated
