@@ -171,17 +171,15 @@ class Canonicalizer:
 
 
 def _canon_slow(urls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = len(urls)
-    urlkeys = np.empty(n, dtype=object)
-    hosts = np.empty(n, dtype=object)
-    for i in range(n):
-        u = urls[i]
-        if u is None:
-            urlkeys[i] = None
-            hosts[i] = None
-        else:
-            urlkeys[i] = surt(u)
-            hosts[i] = host_of(u)
+    """The scalar spec per row; a url ``urlsplit`` rejects gets nulls."""
+    urlkeys = np.full(len(urls), None, dtype=object)
+    hosts = np.full(len(urls), None, dtype=object)
+    for i, u in enumerate(urls):
+        if u is not None:
+            try:
+                urlkeys[i], hosts[i] = surt(u), host_of(u)
+            except ValueError:
+                pass
     return urlkeys, hosts
 
 

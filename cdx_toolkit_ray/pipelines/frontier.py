@@ -322,14 +322,17 @@ def _then(*fns):
     return run
 
 
-def _host_round(ds, kern, prepare=None) -> ray.data.Dataset:
+def _host_round(ds, kern, prepare=None, nbytes=None) -> ray.data.Dataset:
     """ONE ``hash_bucket_apply`` exchange routed by the ``www``-stripped
     host, running ``kern`` over each bucket. ``prepare`` and then the
     route tag run inside the round's split tasks; ``ds`` is a Dataset
-    or a planned read's block refs (``exchange.read_planned``)."""
-    from ..stages.exchange import hash_bucket_apply, hash_round_buckets
+    or the refs of a planned read of ``nbytes`` footer bytes."""
+    from ..stages.exchange import hash_bucket_apply, round_plan
 
-    num_buckets = hash_round_buckets()
+    if isinstance(ds, ray.data.Dataset):
+        ds = ds.materialize()
+        nbytes = ds.size_bytes()
+    num_buckets = round_plan(nbytes)
     return hash_bucket_apply(
         ds, "host_bucket", lambda t: kern(t.drop_columns(["host_bucket"])),
         num_buckets=num_buckets,
@@ -344,7 +347,7 @@ def schedule_politeness(ds: ray.data.Dataset, *, num_salts: int = 1,
     return _host_round(ds, make_bucket_scheduler(num_salts, connections))
 
 
-def dedup_schedule(ds, *, prepare=None, num_salts: int = 1,
+def dedup_schedule(ds, *, prepare=None, nbytes=None, num_salts: int = 1,
                    connections: int = 1) -> ray.data.Dataset:
     """First-wins dedup (``stages/dedup.first_wins``), then politeness
     over the winners, of a canonicalized, robots-gated Dataset in ONE
@@ -353,7 +356,7 @@ def dedup_schedule(ds, *, prepare=None, num_salts: int = 1,
     function) is the per-row pass that makes the rows canonicalized and
     gated; it runs in the round's split tasks."""
     schedule = make_bucket_scheduler(num_salts, connections)
-    return _host_round(ds, lambda t: schedule(first_wins(t)), prepare)
+    return _host_round(ds, lambda t: schedule(first_wins(t)), prepare, nbytes)
 
 
 #: the global crawl order: the virtual clock, ties broken
@@ -413,14 +416,14 @@ def frontier_flow(seeds_path: str, robots_path: str, *,
         return frontier_flow_from(ray.data.read_parquet(seeds_path),
                                   robots_path, num_salts=num_salts)
     robots_ref = ray.put(load_robots(robots_path))
-    plan = plan_parquet(seeds_path)
-    if (not plan or not sum(rows for _, rows, _ in plan)
-            or sum(nbytes for _, _, nbytes in plan) > EXCHANGE_BYTES_BUDGET):
+    plan = plan_parquet(seeds_path) or []
+    nbytes = sum(b for _, _, b in plan)
+    if not sum(rows for _, rows, _ in plan) or nbytes > EXCHANGE_BYTES_BUDGET:
         return frontier_flow_from(ray.data.read_parquet(seeds_path),
                                   robots_ref, num_salts=num_salts)
     return dedup_schedule(read_planned(plan),
                           prepare=_canon_gate(robots_ref),
-                          num_salts=num_salts)
+                          nbytes=nbytes, num_salts=num_salts)
 
 
 def _canon_gate(robots_ref):

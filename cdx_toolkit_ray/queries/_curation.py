@@ -1173,16 +1173,23 @@ def q_wb_synthesis(sf_dir: str):
 _FIXTURE_LINK = "/tmp/cdxray_fixtures_current"
 
 
-def _fixture_root(sf_dir: str) -> str:
+def _fixture_plan(sf_dir: str) -> tuple[str, int]:
+    """Cache root and page count of ``sf_dir``'s fixture, by real path."""
     import hashlib
     import os
 
-    tag = hashlib.sha1(sf_dir.encode()).hexdigest()[:8]
-    root = "/tmp/cdxray_fixtures_%s" % tag
+    real = os.path.realpath(sf_dir)
+    return ("/tmp/cdxray_fixtures_%s" % hashlib.sha1(
+        real.encode()).hexdigest()[:8], 5000 if "0.01" in real else 1000)
+
+
+def _fixture_root(sf_dir: str) -> str:
+    import os
+
+    root, n = _fixture_plan(sf_dir)
     if not os.path.exists(root + "/.done"):
         from .. import fixtures
 
-        n = 5000 if "0.01" in sf_dir else 1000
         fixtures.generate(root, n_pages=n, seed=42)
         open(root + "/.done", "w").close()
     # stable alias for the DuckDB oracles (their SQL is static text, so

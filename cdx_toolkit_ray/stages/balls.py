@@ -41,9 +41,9 @@ import ray.data
 
 from ..canon import hash64_batch
 from .dedup import _PHI, _mix64
-from .exchange import (concat, distinct, gather, partition, rehash, scatter,
-                       split_by_code, split_by_hash, superstep,
-                       superstep_buckets, vertices)
+from .exchange import (concat, distinct, gather, partition, rehash,
+                       round_plan, scatter, split_by_code, split_by_hash,
+                       superstep, vertices)
 
 
 def _pair_codes(pairs: pa.Table, nb: int) -> np.ndarray:
@@ -77,7 +77,7 @@ def _edge_buckets(links: ray.data.Dataset, nb: int | None, src_col: str,
     """Distinct (src, dst) edges cached per ``hash64(key)`` bucket,
     sorted by key."""
     other = "dst" if key == "src" else "src"
-    return partition(links, superstep_buckets(nb), key,
+    return partition(links, nb or round_plan(), key,
                      (("src", src_col), ("dst", dst_col)),
                      partial(distinct, (key, other)))
 
@@ -151,7 +151,7 @@ def _ball_pairs(links: ray.data.Dataset, nb: int | None, radius: int,
     expand scatter (frontier x out-edges -> candidates by pair hash)
     and one visit gather (dedup vs visited, emitting the new frontier
     by node hash as extra returns)."""
-    nb = superstep_buckets(nb)
+    nb = nb or round_plan()
     edges_b = _edge_buckets(links, nb, src_col, dst_col)
     cands = scatter(_nf_self_pairs, vertices(edges_b, _node_table))
     vis_b = [_EMPTY_VIS] * nb

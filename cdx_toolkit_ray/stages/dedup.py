@@ -254,10 +254,11 @@ def first_wins_dedup(ds: ray.data.Dataset, key_col: str, cols_bits,
     order tuple unique per key (a unique ``seed_order``), the winners
     do not depend on parallelism or arrival order.
     """
-    from .exchange import hash_bucket_apply, hash_round_buckets
+    from .exchange import hash_bucket_apply, round_plan
 
     order = tuple(c for c, _ in cols_bits)
-    nb = hash_round_buckets()
+    ds = ds.materialize()
+    nb = round_plan(ds.size_bytes())
     return hash_bucket_apply(ds, "_fw_bucket",
                              partial(_first_wins_bucket, key_col, order),
                              num_buckets=nb,
@@ -1344,9 +1345,10 @@ def minhash_lsh_eval(ds: ray.data.Dataset, text_col: str = "text",
         return pa.table({"n": pa.array([batch.num_rows], pa.int64()),
                          "h": pa.array([hits], pa.int64())})
 
+    # materialized: a lazy to_arrow_refs() probes with limit(1)
     cparts = [t for t in ray.get(
         cands.map_batches(cand_partial, batch_format="pyarrow",
-                          batch_size=None).to_arrow_refs())
+                          batch_size=None).materialize().to_arrow_refs())
         if t.num_rows]
     n_cand = sum(int(t["n"].to_numpy().sum()) for t in cparts)
     n_hits = sum(int(t["h"].to_numpy().sum()) for t in cparts)
@@ -1420,7 +1422,8 @@ def minhash_lsh_eval(ds: ray.data.Dataset, text_col: str = "text",
     from .exchange import hash_bucket_apply
 
     sz_tbls = ray.get(ds.select_columns([id_col, text_col]).map_batches(
-        sizes, batch_format="pyarrow", batch_size=None).to_arrow_refs())
+        sizes, batch_format="pyarrow", batch_size=None)
+        .materialize().to_arrow_refs())
     lut: dict = {}
     for t in sz_tbls:
         for i, n in zip(t["doc_id"].to_pylist(), t["ns"].to_pylist()):

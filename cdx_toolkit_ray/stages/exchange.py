@@ -42,18 +42,18 @@ table`` map that may add the bucket column) for the hash round,
 Ray Data execution of its own. :func:`hash_bucket_apply` also takes
 block refs instead of a Dataset: :func:`plan_parquet` reads row counts
 and byte sizes from the Parquet footers, and :func:`read_planned` cuts
-the files into about one slice per split task, which go straight to
-the round.
+the files into one slice per split task of the round.
 
-Scale contract: a round is O(blocks + buckets) tasks, and the driver
-holds only object refs plus O(buckets) scalars per round (row counts,
-change counters, a max, range samples) — never rows. Edges are split
-once and stay in the object store for every iteration; a round moves
-only its narrow message stream. An input to the two Dataset-level
-exchanges over ``EXCHANGE_BYTES_BUDGET`` falls back to the executor
-operator, which brings its spill/backpressure machinery; a planned
-read's caller checks the same budget against the footer bytes and
-reads with ``ray.data.read_parquet`` above it.
+Scale contract: a round is O(tasks + buckets) tasks and tasks x buckets
+objects, counts from :func:`round_plan` unless given; the driver holds
+only object refs plus O(buckets) scalars per round (row counts, change
+counters, a max, range samples) — never rows. Edges are split once and
+stay in the object store for every iteration; a round moves only its
+narrow message stream. An input to the two Dataset-level exchanges over
+``EXCHANGE_BYTES_BUDGET`` falls back to the executor operator, which
+brings its spill/backpressure machinery; a planned read's caller checks
+the same budget against the footer bytes and reads with
+``ray.data.read_parquet`` above it.
 """
 
 from __future__ import annotations
@@ -152,9 +152,10 @@ def partition(ds: ray.data.Dataset, nb: int, key: str, columns,
     ``hash64(key) % nb``; one ``combine(slices)`` task per bucket
     (default: concatenate). Every table has the projected schema, even
     an empty one."""
-    refs = ds.materialize().to_arrow_refs()
+    mat = ds.materialize()
+    groups = _chunked(mat.to_arrow_refs(), round_plan(mat.size_bytes()))
     splits = [fan_out(_project_split, nb, tuple(columns), key, nb, *g)
-              for g in (_chunked(refs) or [[]])]
+              for g in groups or [[]]]
     return gather(combine, inbox=[[s[p] for s in splits]
                                   for p in range(nb)])
 
@@ -330,36 +331,24 @@ def _cluster_cpus() -> int:
             if ray.is_initialized() else 8)
 
 
-def superstep_buckets(num_buckets: int | None) -> int:
-    """A graph algorithm's bucket count: ``num_buckets``, or for None
-    one bucket per CPU within [4, 32]. Every superstep makes
-    ``nb * nb`` message objects, so the count follows the cluster, not
-    a fixed 32 (1,024 objects per round at 2 CPUs)."""
-    if num_buckets is not None:
-        return num_buckets
-    return min(32, max(4, _cluster_cpus()))
+def _store_bytes() -> int:
+    return (int(ray.cluster_resources().get("object_store_memory", 0))
+            if ray.is_initialized() else 0)
 
 
-def hash_round_buckets() -> int:
-    """A Dataset-level hash round's bucket count (the frontier's host
-    round, ``dedup.first_wins_dedup``): ``min(64, max(8, 2 * cpus))``.
-    Each split task emits one object per bucket, so the count follows
-    the cluster (64 buckets at 2 CPUs is ~2k tiny plasma objects whose
-    fixed cost dwarfs the kernel work)."""
-    return min(64, max(8, 2 * _cluster_cpus()))
+def round_plan(nbytes: int | None = None) -> int:
+    """A round's task or bucket count: the smallest multiple of the
+    CPUs (a partial wave costs a full one) that keeps each task's share
+    of ``nbytes`` within a Ray Data target block and half a CPU's share
+    of the object store (a wave holds inputs and outputs); no floor."""
+    cpus = max(1, _cluster_cpus())
+    cap = min(ray.data.DataContext.get_current().target_max_block_size
+              or 1 << 62, _store_bytes() // (2 * cpus) or 1 << 62)
+    return cpus * max(1, -(-int(nbytes or 0) // (cpus * cap)))
 
 
-def _split_tasks() -> int:
-    """A Dataset-level round's split task count: one per CPU (min 8 so
-    small clusters still parallelize the fetches); more tasks than CPUs
-    only multiplies per-object scheduling cost."""
-    return min(32, max(8, _cluster_cpus()))
-
-
-def _chunked(refs: Sequence, max_tasks: int | None = None):
-    if max_tasks is None:
-        max_tasks = _split_tasks()
-    chunk = max(1, (len(refs) + max_tasks - 1) // max_tasks)
+def _chunked(refs: Sequence, n: int) -> list:
+    chunk = max(1, -(-len(refs) // n))
     return [refs[i:i + chunk] for i in range(0, len(refs), chunk)]
 
 
@@ -398,12 +387,11 @@ def _read_slices(path: str, k: int):
 
 
 def read_planned(plan: list) -> list:
-    """Refs to the row slices of a :func:`plan_parquet` plan: one read
-    task per file. The slices number about one per split task of a
-    Dataset-level round, each file's share in proportion to its rows
-    (at least one slice per file), so each split task reads one slice
-    and no Ray Data execution runs before the exchange."""
-    n = _split_tasks()
+    """Refs to the row slices of a :func:`plan_parquet` plan, one read
+    task per file: about :func:`round_plan` of the footer bytes in all,
+    each file's share in proportion to its rows (at least one), so each
+    split task gets one slice and no Ray Data execution runs first."""
+    n = round_plan(sum(nbytes for _, _, nbytes in plan))
     total = max(1, sum(rows for _, rows, _ in plan))
     refs = []
     for f, rows, _ in plan:
@@ -419,9 +407,7 @@ def read_planned(plan: list) -> list:
 EXCHANGE_BYTES_BUDGET = 2 << 30
 
 
-def _over_budget(mat: ray.data.Dataset, bytes_budget: int | None,
-                 what: str) -> bool:
-    size = mat.size_bytes() or 0
+def _over_budget(size: int, bytes_budget: int | None, what: str) -> bool:
     if bytes_budget is None or size <= bytes_budget:
         return False
     LOGGER.warning(
@@ -452,10 +438,10 @@ def hash_bucket_apply(ds: ray.data.Dataset | Sequence[ray.ObjectRef],
     itself: the per-row pass that feeds the round is no execution of
     its own, and its output is never pinned before the split.
 
-    ``ds`` is a Dataset, or a list of refs to Arrow tables with at least
-    one row in total (a planned read, :func:`read_planned`); refs go to
-    the split tasks as they are, with no materialize and no budget
-    check (their planner sized them).
+    ``ds`` is a Dataset, split by :func:`round_plan` of its bytes, or a
+    list of refs to Arrow tables with at least one row in total (a
+    planned read, :func:`read_planned`): one split task per ref, with
+    no materialize and no budget check (their planner sized them).
 
     Executes eagerly (the task graph needs materialized input blocks);
     the input should be the narrow/post-reduction stream of a pipeline,
@@ -466,7 +452,8 @@ def hash_bucket_apply(ds: ray.data.Dataset | Sequence[ray.ObjectRef],
     """
     if isinstance(ds, ray.data.Dataset):
         mat = ds.materialize()
-        if _over_budget(mat, bytes_budget, "hash_bucket_apply"):
+        size = mat.size_bytes() or 0
+        if _over_budget(size, bytes_budget, "hash_bucket_apply"):
             if prepare is not None:
                 mat = mat.map_batches(prepare, batch_format="pyarrow",
                                       batch_size=None)
@@ -483,13 +470,13 @@ def hash_bucket_apply(ds: ray.data.Dataset | Sequence[ray.ObjectRef],
                 return ray.data.from_arrow(merge_fn(empty))
             except Exception:
                 return mat
-        refs = mat.to_arrow_refs()
+        groups = _chunked(mat.to_arrow_refs(), round_plan(size))
     else:
-        refs = list(ds)
+        groups = [[r] for r in ds]
 
     nb = num_buckets
     splits = [_submit(_split_hash, nb, bucket_col, nb, *g, prepare=prepare)
-              for g in _chunked(refs)]
+              for g in groups]
     return ray.data.from_arrow_refs(
         [_merge_bucket.remote(merge_fn, *[sp[b] for sp in splits])
          for b in range(nb)])
@@ -518,7 +505,8 @@ def range_order(ds: ray.data.Dataset, cols: Sequence[str], *,
     mat = ds.materialize()
     kept = mat if where is None else mat.map_batches(
         where, batch_format="pyarrow", batch_size=None)
-    if _over_budget(mat, bytes_budget, "range_order"):
+    size = mat.size_bytes() or 0
+    if _over_budget(size, bytes_budget, "range_order"):
         return kept.sort(list(cols))
     refs = mat.to_arrow_refs()
     samples = ray.get([_sample.remote(cols[0], where, r) for r in refs])
@@ -527,13 +515,14 @@ def range_order(ds: ray.data.Dataset, cols: Sequence[str], *,
         return kept
     refs = [r for r, _ in live]
     alls = np.sort(np.concatenate([s for _, s in live]))
-    nr = max(4, min(_cluster_cpus(), len(refs)))
+    n = round_plan(size)
+    nr = min(n, len(refs))
     qs = np.linspace(0, len(alls) - 1, nr + 1)[1:-1].astype(np.int64)
     bounds = np.unique(alls[qs])
     nr = len(bounds) + 1
 
     rsplits = [_submit(_split_range, nr, cols[0], bounds, where, *g)
-               for g in _chunked(refs)]
+               for g in _chunked(refs, n)]
     return ray.data.from_arrow_refs(
         [_merge_range.remote(list(cols), *[s[r] for s in rsplits])
          for r in range(nr)])

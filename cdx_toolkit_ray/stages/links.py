@@ -51,7 +51,7 @@ from ..canon import hash64_batch
 from ..state.seen import ShardedSeenSet, SeenFilterStage
 from .exchange import (concat, distinct, fan_out, gather,
                        hash_bucket_apply, partition, split_by_hash,
-                       superstep, superstep_buckets, vertices)
+                       round_plan, superstep, vertices)
 
 LOGGER = logging.getLogger(__name__)
 
@@ -221,7 +221,7 @@ def _pagerank(links: ray.data.Dataset, col: str, is_seed,
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     base = (scale * (damping_den - damping_num)) // damping_den
-    edges_b = partition(links, superstep_buckets(nb), "src", _SRC_DST)
+    edges_b = partition(links, nb or round_plan(), "src", _SRC_DST)
     state_b = vertices(edges_b,
                        partial(_rank_init, col, scale, base, is_seed))
     for _ in range(iterations):
@@ -336,7 +336,7 @@ def hits(links: ray.data.Dataset, *, iterations: int = 2,
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     links = links.materialize()
-    nb = superstep_buckets(num_buckets)
+    nb = num_buckets or round_plan()
     by_src = partition(links, nb, "src", _SRC_DST)
     by_dst = partition(links, nb, "dst", _SRC_DST)
     state_b = vertices(by_src, partial(_hits_init, scale))
@@ -1883,7 +1883,7 @@ def kcore_peel(links: ray.data.Dataset, *, k: int = 2, rounds: int = 3,
         raise ValueError("rounds and k must be >= 0")
     und = links.map_batches(partial(_undirected, src_col, dst_col),
                             batch_format="pyarrow", batch_size=None)
-    edges_b = partition(und, superstep_buckets(num_buckets), "src",
+    edges_b = partition(und, num_buckets or round_plan(), "src",
                         (("src", "src"), ("dst", "dst")),
                         partial(distinct, ("src", "dst")))
     state_b = vertices(edges_b, _kc_init)
@@ -1945,7 +1945,7 @@ def opic(links: ray.data.Dataset, *, rounds: int = 3,
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    edges_b = partition(links, superstep_buckets(num_buckets), "src",
+    edges_b = partition(links, num_buckets or round_plan(), "src",
                         _SRC_DST)
     state_b = vertices(edges_b, partial(_opic_init, scale))
     for _ in range(rounds):

@@ -180,6 +180,41 @@ def test_first_wins_dedup_matches_serial_reference():
                                ).count() == 0
 
 
+@pytest.mark.parametrize("derive", [False, True])
+def test_first_wins_dedup_invariant_under_round_plan(monkeypatch, derive):
+    """first_wins_dedup gives byte-identical winners (in key order)
+    whether the round plan is 1, 2 or 4 split tasks and buckets."""
+    import pyarrow as pa
+
+    from cdx_toolkit_ray.stages import exchange
+
+    rng = np.random.default_rng(5)
+    n, blocks = 6_000, 7
+    key = rng.integers(0, 900, n).astype(np.uint64)
+    cols = {"raw" if derive else "k": key,
+            "priority": rng.integers(0, 3, n),
+            "seed_order": rng.permutation(n)}
+
+    def mix(batch: pa.Table) -> pa.Table:
+        raw = batch["raw"].to_numpy(zero_copy_only=False)
+        return batch.append_column(
+            "k", pa.array(raw * np.uint64(2654435761)))
+
+    outs = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(exchange, "_cluster_cpus", lambda c=cpus: c)
+        ds = ray.data.from_arrow(
+            [pa.table({c: v[i::blocks] for c, v in cols.items()})
+             for i in range(blocks)])
+        out = dd.first_wins_dedup(ds, "k", [("priority", 19),
+                                            ("seed_order", 44)],
+                                  derive_fn=mix if derive else None)
+        t = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        outs.append(t.sort_by("k").combine_chunks())
+    assert outs[0].num_rows == len(np.unique(key))
+    assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
+
+
 def test_minhash_pairs_empty_candidates_short_circuit():
     """A corpus shard with ZERO LSH candidates must return a typed
     empty pair table, not crash the membership join (Ray's hash join
@@ -236,6 +271,21 @@ def test_corpus_clean_join_fallback_matches_broadcast(corpus,
 def test_minhash_lsh_eval_metrics():
     """Constructed corpus: identical docs are always true AND caught
     (J=1 collides in every band); disjoint docs are neither."""
+    _check_lsh_eval_metrics()
+
+
+def test_minhash_lsh_eval_never_calls_limit(monkeypatch):
+    """The LSH eval collects its per-block partials from materialized
+    Datasets: no implicit ``limit(1)`` schema probe (whose cancel of
+    in-flight tasks can abort the driver) runs."""
+    def boom(*a, **k):
+        raise AssertionError("Dataset.limit called")
+
+    monkeypatch.setattr(ray.data.Dataset, "limit", boom)
+    _check_lsh_eval_metrics()
+
+
+def _check_lsh_eval_metrics():
     import pandas as pd
 
     from cdx_toolkit_ray.stages.dedup import minhash_lsh_eval

@@ -509,3 +509,49 @@ def test_frontier_flow_under_budget_never_runs_read_parquet(tmp_path,
     monkeypatch.setattr(rd, "read_parquet", boom)
     for path, w in zip(layouts, want):
         assert _by_seed(frontier_flow(path, robots)).equals(w), path
+
+
+def _arrow(ds) -> pa.Table:
+    import ray as _ray
+
+    return pa.concat_tables(_ray.get(ds.to_arrow_refs())).combine_chunks()
+
+
+def test_crawl_order_invariant_under_round_plan(tmp_path, monkeypatch):
+    """The crawl order is byte-identical whether the round plan (read
+    slices, host buckets, crawl-order ranges) is 1, 2 or 4, for one
+    seeds file and for a seeds directory."""
+    from cdx_toolkit_ray.stages import exchange
+
+    layouts, robots = _seed_layouts(tmp_path)
+    for path in layouts:
+        orders = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(exchange, "_cluster_cpus",
+                                lambda c=cpus: c)
+            orders.append(_arrow(crawl_order(frontier_flow(path, robots))))
+        assert orders[0].num_rows > 0
+        assert orders[0].equals(orders[1]), path
+        assert orders[0].equals(orders[2]), path
+
+
+def test_frontier_flow_survives_a_seed_urlsplit_rejects(tmp_path):
+    """A seed url that ``urlsplit`` rejects (a bad bracketed host) does
+    not fail the host round: the flow completes, and every other row
+    keeps its (host_rank, fetch_ms)."""
+    seeds, robots, _ = _routing_seeds(tmp_path)
+    table = pq.read_table(seeds)
+    n = table.num_rows
+    bad = pa.table({"url": ["http://[z]/a", "http://[::1/x"],
+                    "priority": pa.array([0, 1], pa.int32()),
+                    "seed_order": pa.array([n, n + 1], pa.int64())})
+    with_bad = str(tmp_path / "seeds_bad.parquet")
+    pq.write_table(pa.concat_tables([table.slice(0, 400), bad,
+                                     table.slice(400)]), with_bad)
+    cols = ["seed_order", "host_rank", "fetch_ms"]
+    want = _by_seed(frontier_flow(seeds, robots), cols)
+    flow = frontier_flow(with_bad, robots)
+    got = _by_seed(flow, cols + ["urlkey"])
+    assert got[got.seed_order < n][cols].reset_index(drop=True).equals(want)
+    assert got[got.seed_order >= n]["urlkey"].isna().all()
+    crawl_order(flow).take_all()

@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdx_toolkit_ray.canon import canonicalize_batch, hash64, surt
+from cdx_toolkit_ray.canon import canonicalize_batch, hash64, host_of, surt
 from cdx_toolkit_ray.canon import hash64_batch
 from cdx_toolkit_ray import timeutils
 
@@ -37,9 +37,31 @@ def urls(draw):
 @settings(max_examples=150, deadline=None)
 def test_canonicalize_batch_matches_scalar_spec(batch_urls):
     tbl = pa.table({"url": pa.array(batch_urls, pa.string())})
-    got = canonicalize_batch(tbl)["urlkey"].to_pylist()
-    want = [surt(u) for u in batch_urls]
-    assert got == want
+    out = canonicalize_batch(tbl)
+    assert out["urlkey"].to_pylist() == [surt(u) for u in batch_urls]
+    # host is the politeness and robots key
+    assert out["host"].to_pylist() == [host_of(u) for u in batch_urls]
+
+
+def test_canonicalize_batch_nulls_urls_urlsplit_rejects():
+    """A url whose bracketed host ``urlsplit`` rejects gets a null
+    urlkey and host (hash64 0), like a null url, and does not fail its
+    batch: the good rows are byte-identical to a batch without it. The
+    scalar spec keeps raising."""
+    bad = ["http://[z]/a", "http://[::1/x"]
+    good = ["http://ok.com/", "https://www.Example.org:8080/B?z=1&a=2",
+            "http://x.test/%41"]
+    for u in bad:
+        with pytest.raises(ValueError):
+            surt(u)
+    mixed = canonicalize_batch(pa.table({"url": pa.array(
+        [good[0], bad[0], good[1], bad[1], good[2]], pa.string())}))
+    alone = canonicalize_batch(pa.table({"url": pa.array(good,
+                                                         pa.string())}))
+    assert mixed.take([0, 2, 4]).equals(alone)
+    for col in ("urlkey", "host"):
+        assert mixed[col].to_pylist()[1::2] == [None, None]
+    assert mixed["hash64"].to_pylist()[1::2] == [0, 0]
 
 
 @given(st.lists(st.text(max_size=40), min_size=1, max_size=64))
@@ -284,22 +306,52 @@ def test_hash_bucket_apply_prepare_equals_map_batches(budget):
     assert got.count() == 0 and got.schema().names == ["k", "s", "n"]
 
 
+def test_round_plan_is_the_smallest_cpu_multiple_within_one_block(
+        monkeypatch):
+    """round_plan: one task per CPU with no bytes or few bytes; for more
+    bytes, the smallest multiple of the CPUs whose tasks each hold at
+    most one target block, or less when a wave of them (input and
+    output) would not fit the object store."""
+    import ray.data
+
+    from cdx_toolkit_ray.stages import exchange
+
+    block = ray.data.DataContext.get_current().target_max_block_size
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(exchange, "_cluster_cpus", lambda c=cpus: c)
+        monkeypatch.setattr(exchange, "_store_bytes", lambda: 0)
+        assert exchange.round_plan() == cpus
+        assert exchange.round_plan(0) == cpus
+        assert exchange.round_plan(cpus * block) == cpus
+        assert exchange.round_plan(cpus * block + 1) == 2 * cpus
+        assert exchange.round_plan(5 * cpus * block) == 5 * cpus
+        # a store of one block per CPU caps each task at half a block
+        monkeypatch.setattr(exchange, "_store_bytes",
+                            lambda c=cpus: c * block)
+        assert exchange.round_plan() == cpus
+        assert exchange.round_plan(cpus * block) == 2 * cpus
+        monkeypatch.setattr(exchange, "_store_bytes",
+                            lambda c=cpus: 4 * c * block)
+        assert exchange.round_plan(cpus * block) == cpus
+
+
 def test_hash_bucket_apply_block_refs_first_group_all_empty():
-    """Block-ref input whose first split group is all empty blocks (one
-    column-less, one typed): every merge still sees a typed table, even
-    the merge of a bucket no row routes to (bucket 5 of 6), and the rows
-    equal the serial reference."""
+    """Block-ref input whose first split groups are all empty blocks
+    (one column-less, one typed; each ref is one split group): every
+    merge still sees a typed table, even the merge of a bucket no row
+    routes to (bucket 5 of 6), and the rows equal the serial
+    reference."""
     import pandas as pd
     import ray
 
-    from cdx_toolkit_ray.stages.exchange import (_split_tasks,
-                                                 hash_bucket_apply)
+    from cdx_toolkit_ray.stages.exchange import (hash_bucket_apply,
+                                                 round_plan)
 
     _prepare_bucket, _sum_per_key = _exchange_kernels()
     rng = np.random.default_rng(9)
     live = [pa.table({"k": pa.array(rng.integers(0, 30, 200), pa.int64()),
                       "v": pa.array(rng.integers(-9, 9, 200), pa.int64())})
-            for _ in range(2 * _split_tasks() - 2)]
+            for _ in range(2 * round_plan() - 2)]
     blocks = [pa.table({}), live[0].slice(0, 0)] + live
     seen = []
 

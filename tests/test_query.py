@@ -302,3 +302,23 @@ def test_size_estimate_on_file_source(ray_session, fixture_dir):
     pages = fixture_dir["pages"]  # a single parquet FILE
     n = size_estimate(pages, source="custom")
     assert n > 0
+
+
+def test_fixture_plan_keys_by_real_path(tmp_path):
+    """The generated crawl fixture is sized and cached by the sf
+    directory's real path: a symlink to an sf0.01 directory gets the
+    directory's own 5,000-page fixture root."""
+    from cdx_toolkit_ray.queries._curation import _fixture_plan
+
+    real = tmp_path / "sf0.01"
+    real.mkdir()
+    link = tmp_path / "data"
+    link.symlink_to(real)
+    other = tmp_path / "sf0.1"
+    other.mkdir()
+    root, pages = _fixture_plan(str(real))
+    assert pages == 5000
+    assert _fixture_plan(str(link)) == (root, pages)
+    assert _fixture_plan(str(link) + "/") == (root, pages)
+    other_root, other_pages = _fixture_plan(str(other))
+    assert other_pages == 1000 and other_root != root
