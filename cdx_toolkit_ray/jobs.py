@@ -79,7 +79,7 @@ def make_parser() -> ArgumentParser:
     p.add_argument("--scale-hi", type=int,
                    default=int(os.environ.get("GRAFT_SCALE_HI", "8")))
     p.add_argument("--attempts", type=int,
-                   default=int(os.environ.get("GRAFT_SCALE_ATTEMPTS", "2")))
+                   default=int(os.environ.get("GRAFT_SCALE_ATTEMPTS", "5")))
     return p
 
 
@@ -133,7 +133,11 @@ def _bench(args) -> int:
     """The --bench driver. Cluster: one leg (submit once per cluster
     size; --peer computes the cross-size efficiency). Local: the
     bench.py --scaling protocol — interleaved fresh-process legs at
-    lo/hi CPUs, best-of-attempts per config (additive host noise)."""
+    lo/hi CPUs, best-of-attempts per config (additive host noise), with
+    the median-based efficiency beside it. A local leg that asks for
+    more CPUs than the host has is refused (exit 2): its tasks would
+    share cores, and the efficiency would measure the host."""
+    import statistics
     import subprocess
 
     # "local" is not a cluster (it's this sandbox's preset): the pair
@@ -175,6 +179,13 @@ def _bench(args) -> int:
                 if ln.startswith("{")][-1]
         return json.loads(line)
 
+    host_cores = os.cpu_count() or 1
+    widest = max(args.scale_lo, args.scale_hi)
+    if widest > host_cores:
+        print(json.dumps({"error": "a --bench leg asks for %d CPUs; this "
+                                   "host has %d cores" % (widest, host_cores),
+                          "host_cores": host_cores}))
+        return 2
     runs_lo, runs_hi = [], []
     for _ in range(max(1, args.attempts)):
         runs_lo.append(run_leg(args.scale_lo))
@@ -183,15 +194,21 @@ def _bench(args) -> int:
     best_hi = min(runs_hi, key=lambda r: r["sec"])
     eff = (best_hi["urls_per_sec"] / best_lo["urls_per_sec"]) \
         / (args.scale_hi / args.scale_lo)
+    eff_median = (statistics.median(r["urls_per_sec"] for r in runs_hi)
+                  / statistics.median(r["urls_per_sec"] for r in runs_lo)) \
+        / (args.scale_hi / args.scale_lo)
     print(json.dumps({
         "metric": "frontier scaling efficiency %d->%d cpus"
                   % (args.scale_lo, args.scale_hi),
         "value": round(eff, 3),
+        "value_median": round(eff_median, 3),
         "unit": "efficiency",
         "runs": {args.scale_lo: best_lo, args.scale_hi: best_hi},
         "all_runs": {args.scale_lo: runs_lo, args.scale_hi: runs_hi},
-        "estimator": "best-of-%d per config (additive host noise)"
-                     % args.attempts,
+        "estimator": "best-of-%d per config (additive host noise); "
+                     "value_median: median of the %d per config"
+                     % (args.attempts, args.attempts),
+        "host_cores": host_cores,
         "sf": args.seeds,
     }))
     return 0

@@ -38,6 +38,7 @@ import ray
 import ray.data
 
 from ..stages.dedup import exact_dedup, minhash_dedup_pairs
+from ..stages.exchange import collect_refs
 from ..stages.textstats import quality_batch
 
 # anti-join broadcast budget: 5M int64 victim ids = 40 MB in every
@@ -100,7 +101,7 @@ def corpus_clean(ds: ray.data.Dataset, *, id_col: str = "doc_id",
         # and anti-join as a zero-shuffle searchsorted filter
         drop_ids = np.unique(np.concatenate(
             [t["id_b"].to_numpy(zero_copy_only=False)
-             for t in ray.get(drops.to_arrow_refs()) if t.num_rows]))
+             for t in ray.get(collect_refs(drops)) if t.num_rows]))
         dref = ray.put(drop_ids)
 
         def anti(batch: pa.Table) -> pa.Table:

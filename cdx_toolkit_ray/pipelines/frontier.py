@@ -20,9 +20,10 @@ execution before the first):
   planned seeds read: footers give each file's rows and bytes, one read
   task per file cuts it into row slices, one slice per split task
   -> one host round. Its split tasks run the per-row pass (prepare=):
-     canonicalize_batch (urlkey, hash64, host; once per row) -> robots
-     gate (broadcast lookup; flags, never drops) -> route tag. Its
-     merges run first-wins dedup per hash64 (stages/dedup.first_wins:
+     canonicalize_batch (urlkey, hash64, host; the host and port
+     rules once per distinct origin) -> robots gate (broadcast lookup;
+     flags, never drops) -> route tag (hashed once per distinct host).
+     Its merges run first-wins dedup per hash64 (stages/dedup.first_wins:
      winner = min (priority, seed_order), n_dup_dropped), then
      politeness over the winners (host_rank, fetch_ms = rank * delay)
                                                       [frontier_flow]
@@ -116,8 +117,9 @@ def _robots_columns(batch: pa.Table, robots: dict, by_len: dict,
     (int64) per row, vectorized.
 
     Path extraction parity with ``urlsplit(url).path or '/'`` for
-    scheme://host urls: everything after the authority up to ``?``/
-    ``#`` (polars regex), empty -> '/'.
+    scheme://host urls: the origin (``scheme://authority``, a whole
+    regex match, no capture group) stripped off, then everything up to
+    ``?``/``#``; no scheme or an empty path -> '/'.
     """
     import polars as pl
 
@@ -134,13 +136,15 @@ def _robots_columns(batch: pa.Table, robots: dict, by_len: dict,
     cand = np.flatnonzero(has_prefix[codes]) if has_prefix.any() else None
     if cand is not None and cand.size and by_len:
         take = pa.array(cand)
+        url, path = pl.col("url"), pl.col("path")
+        origin = url.str.extract(r"^[a-zA-Z][a-zA-Z0-9+.\-]*://[^/?#]*", 0)
         df = pl.DataFrame({
             "host": pl.from_arrow(batch["host"].take(take)),
-            "path": pl.from_arrow(batch["url"].take(take)).str.extract(
-                r"^[a-zA-Z][a-zA-Z0-9+.\-]*://[^/?#]*([^?#]*)", 1),
-        }).with_columns(
-            pl.when(pl.col("path").is_null() | (pl.col("path") == ""))
-            .then(pl.lit("/")).otherwise(pl.col("path")).alias("path"))
+            "url": pl.from_arrow(batch["url"].take(take)),
+        }).select("host", path=url.str.strip_prefix(origin)
+                  .str.extract(r"^[^?#]*", 0)) \
+            .with_columns(path=pl.when(path.is_null() | (path == ""))
+                          .then(pl.lit("/")).otherwise(path))
         blk = np.zeros(cand.size, dtype=bool)
         for ln, keys in by_len.items():
             trunc = df["host"] + "\0" + df["path"].str.slice(0, ln)
@@ -292,19 +296,23 @@ def make_bucket_scheduler(num_salts: int = 1,
 def _add_host_bucket(num_buckets: int, strip_www: bool = False):
     """map_batches fn: (re)set ``host_bucket = hash64(host) %
     num_buckets``, so a host lands in one bucket; ``strip_www`` hashes
-    the host without ``^www\\d*\\.`` (the route, module docstring)."""
+    the host without ``^www\\d*\\.`` (the route, module docstring). Each
+    distinct host of the batch is hashed once; a null host goes to
+    bucket 0."""
     from ..canon import hash64_batch
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        host = batch["host"]
+        enc = batch["host"].combine_chunks().dictionary_encode()
+        hosts = enc.dictionary
         if strip_www:
-            host = pa.compute.replace_substring_regex(host, r"^www\d*\.",
-                                                      "")
-        hb = hash64_batch(host) % np.uint64(num_buckets)
+            hosts = pa.compute.replace_substring_regex(hosts, r"^www\d*\.",
+                                                       "")
+        hb = hash64_batch(hosts) % np.uint64(num_buckets)
+        bucket = pa.array(hb.astype(np.int64), pa.int64()) \
+            .take(enc.indices).fill_null(0)
         if "host_bucket" in batch.column_names:
             batch = batch.drop_columns(["host_bucket"])
-        return batch.append_column(
-            "host_bucket", pa.array(hb.astype(np.int64), pa.int64()))
+        return batch.append_column("host_bucket", bucket)
 
     return add_bucket
 
@@ -546,8 +554,10 @@ def run_frontier(seeds_path: str, robots_path: str, out_dir: str, *,
     host-hash bucket, each recorded in the lineage manifest with its
     counters; a rerun with unchanged inputs skips completed buckets
     entirely (rows of done buckets are dropped before the write). A
-    bucket that runs again first loses its old part files, so its rows
-    on disk match its new manifest entry.
+    bucket that runs again replaces its old part files only after the
+    write has finished, so its rows on disk match its manifest entry,
+    the old one after a failed write or the new one after a finished
+    one.
 
     Bucketing by HOST hash keeps every row of a host in one partition,
     so per-host politeness slots and counters are complete within a
@@ -583,22 +593,33 @@ def run_frontier(seeds_path: str, robots_path: str, out_dir: str, *,
     flow = flow.map_batches(_make_count_stage(counter_actor, num_buckets),
                             batch_format="pyarrow", batch_size=None)
 
+    # the buckets that run are written beside flow/ and swapped in once
+    # the whole write has finished: a write that fails leaves the old
+    # rows, and their manifest entries, as they were
     flow_dir = os.path.join(out_dir, "flow")
+    staged = flow_dir + ".tmp"
+    shutil.rmtree(staged, ignore_errors=True)
+    try:
+        flow.write_parquet(staged, partition_cols=["host_bucket"])
+        counters_by_bucket = ray.get(counter_actor.get.remote())
+    finally:
+        ray.kill(counter_actor)
+    os.makedirs(staged, exist_ok=True)
+    os.makedirs(flow_dir, exist_ok=True)
     for b in todo:
-        shutil.rmtree(os.path.join(flow_dir, "host_bucket=%d" % b),
-                      ignore_errors=True)
-    flow.write_parquet(flow_dir, partition_cols=["host_bucket"])
-
-    counters_by_bucket = ray.get(counter_actor.get.remote())
-    ray.kill(counter_actor)
-    for b in todo:
-        part_dir = os.path.join(flow_dir, "host_bucket=%d" % b)
+        name = "host_bucket=%d" % b
+        part_dir = os.path.join(flow_dir, name)
+        if os.path.isdir(part_dir):
+            os.replace(part_dir, os.path.join(staged, name + ".old"))
+        if os.path.isdir(os.path.join(staged, name)):
+            os.replace(os.path.join(staged, name), part_dir)
         f, d, df, bl, n = counters_by_bucket.get(b, (0, 0, 0, 0, 0))
         manifest.record(str(b), fp,
                         {"fetched": f, "deduped": d,
                          "deferred_politeness": df,
                          "robots_blocked": bl, "rows": n},
                         part_dir)
+    shutil.rmtree(staged)
 
     if seen is not None and seen_checkpoint_dir:
         seen.checkpoint(seen_checkpoint_dir)

@@ -842,7 +842,7 @@ def q_top_revenue(sf_dir: str):
     product rounds identically in SQL."""
     import ray as _ray
 
-    from ..stages.exchange import hash_bucket_apply
+    from ..stages.exchange import collect_refs, hash_bucket_apply
 
     cutoff = np.datetime64("1997-01-01", "us").view(np.int64)
 
@@ -959,7 +959,7 @@ def q_top_revenue(sf_dir: str):
         "_ob", join_sum_topk, num_buckets=16)
     # bounded driver merge: 16 buckets x <=10 rows
     final = pa.concat_tables(
-        _ray.get(summed.to_arrow_refs())).combine_chunks()
+        _ray.get(collect_refs(summed))).combine_chunks()
     rev = final["revenue_cents"].to_numpy(zero_copy_only=False)
     ok = final["o_orderkey"].to_numpy(zero_copy_only=False)
     top = np.lexsort((ok, -rev))[:10]

@@ -146,7 +146,7 @@ def exact_dedup(ds: ray.data.Dataset, key_col: str, id_col: str,
         return pa.table({"key_hash": pa.array(k[first], pa.uint64()),
                          "_id": pa.array(i[first])}).cast(sch)
 
-    from .exchange import hash_bucket_apply
+    from .exchange import collect_refs, hash_bucket_apply
 
     winners = hash_bucket_apply(
         _exact_pairs_stream(ds, key_col, id_col, num_buckets), "_kb",
@@ -157,7 +157,7 @@ def exact_dedup(ds: ray.data.Dataset, key_col: str, id_col: str,
 
         from ..pipelines.frontier import _get_broadcast
 
-        parts = [t for t in _ray.get(winners.to_arrow_refs())
+        parts = [t for t in _ray.get(collect_refs(winners))
                  if t.num_rows]
         kh = np.concatenate(
             [t["key_hash"].to_numpy(zero_copy_only=False)
@@ -1345,11 +1345,11 @@ def minhash_lsh_eval(ds: ray.data.Dataset, text_col: str = "text",
         return pa.table({"n": pa.array([batch.num_rows], pa.int64()),
                          "h": pa.array([hits], pa.int64())})
 
-    # materialized: a lazy to_arrow_refs() probes with limit(1)
-    cparts = [t for t in ray.get(
+    from .exchange import collect_refs, hash_bucket_apply
+
+    cparts = [t for t in ray.get(collect_refs(
         cands.map_batches(cand_partial, batch_format="pyarrow",
-                          batch_size=None).materialize().to_arrow_refs())
-        if t.num_rows]
+                          batch_size=None))) if t.num_rows]
     n_cand = sum(int(t["n"].to_numpy().sum()) for t in cparts)
     n_hits = sum(int(t["h"].to_numpy().sum()) for t in cparts)
 
@@ -1419,11 +1419,9 @@ def minhash_lsh_eval(ds: ray.data.Dataset, text_col: str = "text",
         return pa.table({"doc_id": pa.array(ids, pa.int64()),
                          "ns": pa.array(cnt, pa.int64())})
 
-    from .exchange import hash_bucket_apply
-
-    sz_tbls = ray.get(ds.select_columns([id_col, text_col]).map_batches(
-        sizes, batch_format="pyarrow", batch_size=None)
-        .materialize().to_arrow_refs())
+    sz_tbls = ray.get(collect_refs(ds.select_columns([id_col, text_col])
+                                   .map_batches(sizes, batch_format="pyarrow",
+                                                batch_size=None)))
     lut: dict = {}
     for t in sz_tbls:
         for i, n in zip(t["doc_id"].to_pylist(), t["ns"].to_pylist()):
@@ -1461,7 +1459,7 @@ def minhash_lsh_eval(ds: ray.data.Dataset, text_col: str = "text",
     counted = hash_bucket_apply(emitted, "_pb", finish,
                                 num_buckets=num_buckets)
     n_true = sum(t["n"].to_pylist()[0] if t.num_rows else 0
-                 for t in ray.get(counted.to_arrow_refs()))
+                 for t in ray.get(collect_refs(counted)))
 
     return pa.table({
         "n_candidates": pa.array([n_cand], pa.int64()),

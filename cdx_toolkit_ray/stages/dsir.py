@@ -41,7 +41,7 @@ import pyarrow as pa
 import ray.data
 
 from ..canon import hash64_batch
-from .exchange import hash_bucket_apply
+from .exchange import collect_refs, hash_bucket_apply
 
 
 def _doc_feature_counts(batch: pa.Table, text_col: str, id_col: str,
@@ -105,7 +105,7 @@ def dsir_bucket_counts(ds: ray.data.Dataset, *, text_col: str = "text",
         .map_batches(partial, batch_format="pyarrow", batch_size=None)
     folded = hash_bucket_apply(parts, "_b", fold, num_buckets=4)
     out = np.zeros((n_features, 2), dtype=np.int64)
-    for blk in ray.get(folded.to_arrow_refs()):
+    for blk in ray.get(collect_refs(folded)):
         if not blk.num_rows:
             continue
         fb = blk["fb"].to_numpy(zero_copy_only=False)

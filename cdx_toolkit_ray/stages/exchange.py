@@ -265,6 +265,28 @@ def _as_arrow(tbl) -> pa.Table:
     return pa.Table.from_pandas(tbl, preserve_index=False)
 
 
+_to_arrow = ray.remote(_as_arrow)
+
+
+def collect_refs(ds: ray.data.Dataset) -> list:
+    """The one driver-side collect: execute ``ds`` once and return its
+    blocks as refs of Arrow tables.
+
+    ``Dataset.to_arrow_refs()`` on a lazy Dataset runs it and then asks
+    for its schema; a schema the plan cannot infer Ray fetches with a
+    hidden ``limit(1)`` execution, a second partial run whose cancel of
+    in-flight tasks can abort the driver. Here the blocks come from one
+    ``materialize()`` and keep the schemas their bundles carry; a block
+    that is not Arrow (pandas, or an empty one of no known schema)
+    becomes an Arrow table in a task."""
+    refs = []
+    for bundle in ds.materialize().iter_internal_ref_bundles():
+        arrow = isinstance(bundle.schema, pa.Schema)
+        refs += [r if arrow else _to_arrow.remote(r)
+                 for r, _ in bundle.blocks]
+    return refs
+
+
 @ray.remote
 def _split_hash(bucket_col: str, nb: int, *tbls, prepare=None):
     # a map_batches stage that filters a block to zero rows can emit a

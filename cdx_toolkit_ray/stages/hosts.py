@@ -34,7 +34,7 @@ import pyarrow as pa
 import ray.data
 
 from ..canon import hash64_batch
-from .exchange import hash_bucket_apply
+from .exchange import collect_refs, hash_bucket_apply
 
 LOGGER = logging.getLogger(__name__)
 
@@ -125,9 +125,8 @@ def blocked_host_hashes(stats: ray.data.Dataset) -> np.ndarray:
     """Sorted hash64 set of blocked hosts — the broadcast side of the
     document filter pass (same membership shape as
     stages/lines.duplicated_line_hashes)."""
-    blocks = [b for b in ray.get(
-        stats.select_columns(["host", "blocked"]).to_arrow_refs())
-        if b.num_rows]
+    blocks = [b for b in ray.get(collect_refs(
+        stats.select_columns(["host", "blocked"]))) if b.num_rows]
     hs = []
     for b in blocks:
         m = b["blocked"].to_numpy(zero_copy_only=False)
@@ -196,9 +195,9 @@ def replace_delays(ds: ray.data.Dataset, delays: ray.data.Dataset, *,
     delay table broadcasts once as two parallel sorted arrays
     (hash64(host) -> delay), O(hosts) worker state; hosts without an
     observation keep ``default_ms``."""
-    blocks = [b for b in ray.get(
-        delays.select_columns(["host", "adaptive_delay_ms"])
-        .to_arrow_refs()) if b.num_rows]
+    blocks = [b for b in ray.get(collect_refs(
+        delays.select_columns(["host", "adaptive_delay_ms"])))
+        if b.num_rows]
     if blocks:
         tbl = pa.concat_tables(blocks)
         h = hash64_batch(tbl["host"]).astype(np.uint64)

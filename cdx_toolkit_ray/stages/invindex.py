@@ -235,6 +235,7 @@ def merge_index(index_dir: str, new_docs: ray.data.Dataset,
     import ray as _ray
 
     from ..canon import hash64_batch
+    from .exchange import collect_refs
 
     with open(os.path.join(index_dir, "meta.json")) as f:
         meta = json.load(f)
@@ -244,7 +245,7 @@ def merge_index(index_dir: str, new_docs: ray.data.Dataset,
     new_posts = postings(new_docs, text_col, idc, nb)
     new_ids = np.unique(np.concatenate([
         t[idc].to_numpy(zero_copy_only=False)
-        for t in _ray.get(new_docs.select_columns([idc]).to_arrow_refs())
+        for t in _ray.get(collect_refs(new_docs.select_columns([idc])))
         if t.num_rows] or [np.zeros(0, np.int64)]))
     ids_ref = _ray.put(new_ids)
 

@@ -95,8 +95,10 @@ def heavy_hitters(ds: ray.data.Dataset, key_col: str, *,
         batch_size=None)
     # bounded: <= blocks x m keys, deduped here (the one driver-side
     # structure, same budget class as the IVF codebook sample)
+    from .exchange import collect_refs
+
     cand_tbl = pa.concat_tables(
-        ray.get(cands.to_arrow_refs())).combine_chunks()
+        ray.get(collect_refs(cands))).combine_chunks()
     uniq = pc.unique(cand_tbl[key_col]).sort()
     if len(uniq) == 0:
         return ray.data.from_arrow(pa.table(

@@ -268,6 +268,20 @@ def test_corpus_clean_join_fallback_matches_broadcast(corpus,
         sorted(map(tuple, want[key].values.tolist()))
 
 
+def test_corpus_clean_never_calls_limit(corpus, monkeypatch):
+    """corpus_clean's near-dup victims reach the driver through one
+    materialized collect: no implicit ``limit(1)`` schema probe runs."""
+    from cdx_toolkit_ray.pipelines.corpus import corpus_clean
+
+    def boom(*a, **k):
+        raise AssertionError("Dataset.limit called")
+
+    monkeypatch.setattr(ray.data.Dataset, "limit", boom)
+    out = corpus_clean(corpus, min_tokens=10, stopword_pct=5,
+                       jaccard_threshold=0.5).take_all()
+    assert {r["doc_id"] for r in out} == {100}
+
+
 def test_minhash_lsh_eval_metrics():
     """Constructed corpus: identical docs are always true AND caught
     (J=1 collides in every band); disjoint docs are neither."""

@@ -98,6 +98,32 @@ def test_replace_delays_lut_and_default(ray_session):
     assert out["unknown"] == 777  # no observation -> default
 
 
+def test_host_pipeline_never_calls_limit(ray_session, monkeypatch):
+    """Host filter and delay LUT collect their small sides through one
+    materialized collect: no implicit ``limit(1)`` schema probe (whose
+    cancel of in-flight tasks can abort the driver) runs."""
+    from cdx_toolkit_ray.stages.hosts import (adaptive_delays,
+                                              filter_blocked_hosts,
+                                              host_quality_stats,
+                                              replace_delays)
+
+    def boom(*a, **k):
+        raise AssertionError("Dataset.limit called")
+
+    monkeypatch.setattr(ray.data.Dataset, "limit", boom)
+    hosts = ["good.example"] * 5 + ["bad.example"] * 5
+    ds = _mk(hosts, [100] * 5 + [1] * 5)
+    stats = host_quality_stats(ds, num_buckets=4)
+    kept = filter_blocked_hosts(ds, stats).take_all()
+    assert {r["host"] for r in kept} == {"good.example"}
+    rows = ray.data.from_arrow(pa.table({
+        "host": pa.array(["good.example", "unknown"], pa.string()),
+        "crawl_delay_ms": pa.array([1, 1], pa.int64())}))
+    out = {r["host"]: r["crawl_delay_ms"] for r in replace_delays(
+        rows, adaptive_delays(stats), default_ms=777).take_all()}
+    assert out == {"good.example": 500, "unknown": 777}
+
+
 def test_adaptive_schedule_spacing_invariant(ray_session):
     """Property: a schedule driven by adaptive delays never places two
     same-host fetches closer than that host's adaptive delay."""

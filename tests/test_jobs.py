@@ -133,3 +133,48 @@ def test_jobs_bench_cluster_leg_and_peer_efficiency(
         / (int(hi_c) / int(lo_c))
     assert two["value"] == pytest.approx(want, abs=0.001)
     assert "%s->%s" % (lo_c, hi_c) in two["metric"]
+
+
+def test_jobs_bench_local_pair_median_and_host_cores(fixture_dir, tmp_path,
+                                                     capsys, monkeypatch):
+    """The local pair runs 5 interleaved attempts per config by default,
+    reports the median-based efficiency beside the best-based one and
+    the host's cores, and refuses (exit 2, no leg started) a leg that
+    asks for more CPUs than the host has. Legs are faked: each returns
+    a throughput from a fixed list."""
+    import subprocess
+
+    monkeypatch.delenv("RAY_ADDRESS", raising=False)
+    monkeypatch.delenv("GRAFT_SCALE_ATTEMPTS", raising=False)
+    monkeypatch.setattr(jobs.os, "cpu_count", lambda: 4)
+    rates = {2: iter([100.0, 90.0, 110.0, 95.0, 105.0]),
+             4: iter([150.0, 190.0, 170.0, 160.0, 180.0])}
+    legs = []
+
+    def fake_leg(cmd, env, **kw):
+        cpus = int(cmd[cmd.index("--num-cpus") + 1])
+        legs.append(cpus)
+        ups = next(rates[cpus])
+        return subprocess.CompletedProcess(cmd, 0, stderr="", stdout=(
+            json.dumps({"cpus": cpus, "sec": 1000.0 / ups,
+                        "urls_per_sec": ups}) + "\n"))
+
+    monkeypatch.setattr(subprocess, "run", fake_leg)
+    args = ["--bench", "--seeds", fixture_dir["seeds"],
+            "--robots", fixture_dir["robots"], "--out", str(tmp_path / "b"),
+            "--scale-lo", "2"]
+    assert jobs.main(args + ["--scale-hi", "4"]) == 0
+    out = json.loads([ln for ln in capsys.readouterr().out.splitlines()
+                      if ln.startswith("{")][-1])
+    assert legs == [2, 4] * 5
+    assert out["host_cores"] == 4
+    assert out["value"] == pytest.approx((190 / 110) / 2, abs=0.001)
+    assert out["value_median"] == pytest.approx((170 / 100) / 2, abs=0.001)
+
+    monkeypatch.setattr(jobs.os, "cpu_count", lambda: 2)
+    legs.clear()
+    assert jobs.main(args + ["--scale-hi", "4"]) == 2
+    assert legs == []
+    err = json.loads([ln for ln in capsys.readouterr().out.splitlines()
+                      if ln.startswith("{")][-1])
+    assert err["host_cores"] == 2 and "error" in err

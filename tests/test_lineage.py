@@ -76,6 +76,87 @@ def test_rerun_bucket_replaces_its_rows(fixture_dir, tmp_path):
         assert on_disk == e["rows"], b
 
 
+def _bucket_tables(out, num_buckets):
+    """Per bucket: its rows on disk sorted by seed_order, and the names
+    of its part files."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    got = {}
+    for b in range(num_buckets):
+        part = os.path.join(out, "flow", "host_bucket=%d" % b)
+        files = sorted(os.listdir(part)) if os.path.isdir(part) else []
+        t = pa.concat_tables([pq.read_table(os.path.join(part, f))
+                              for f in files]) if files else None
+        got[b] = (t.sort_by("seed_order") if t is not None else None, files)
+    return got
+
+
+def _manifest_counters(out):
+    with open(os.path.join(out, "_lineage.json")) as fd:
+        entries = json.load(fd)
+    return {b: {k: v for k, v in e.items() if k != "output_path"}
+            for b, e in entries.items()}
+
+
+def test_failed_rerun_write_keeps_old_buckets(fixture_dir, tmp_path,
+                                              monkeypatch):
+    """A rerun whose write fails part way (a stage that raises once
+    bucket 3's rows arrive) leaves every old bucket's part files and
+    manifest entry as they were; the next rerun equals an uninterrupted
+    run of the new inputs, rows and counters."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from cdx_toolkit_ray.pipelines import frontier
+
+    seeds = str(tmp_path / "seeds.parquet")
+    table = pq.read_table(fixture_dir["seeds"])
+    pq.write_table(table, seeds)
+    out = str(tmp_path / "run")
+    run_frontier(seeds, fixture_dir["robots"], out, num_buckets=4)
+    before, manifest_before = _bucket_tables(out, 4), _manifest_counters(out)
+
+    extra = table.slice(0, 1).to_pylist()[0]
+    extra.update(url="https://added.example/new-page",
+                 seed_order=max(table["seed_order"].to_pylist()) + 1)
+    pq.write_table(pa.concat_tables(
+        [table, pa.Table.from_pylist([extra], schema=table.schema)]), seeds)
+
+    real = frontier._make_count_stage
+
+    def failing_count_stage(actor, num_buckets):
+        count = real(actor, num_buckets)
+
+        def count_then_fail(batch):
+            batch = count(batch)
+            if 3 in batch["host_bucket"].to_pylist():
+                raise RuntimeError("write interrupted")
+            return batch
+
+        return count_then_fail
+
+    monkeypatch.setattr(frontier, "_make_count_stage", failing_count_stage)
+    with pytest.raises(Exception, match="write interrupted"):
+        run_frontier(seeds, fixture_dir["robots"], out, num_buckets=4)
+    after = _bucket_tables(out, 4)
+    for b in range(4):
+        assert after[b][1] == before[b][1], b
+        assert after[b][0].equals(before[b][0]), b
+    assert _manifest_counters(out) == manifest_before
+
+    monkeypatch.undo()
+    assert run_frontier(seeds, fixture_dir["robots"], out,
+                        num_buckets=4)["ran_buckets"] == [0, 1, 2, 3]
+    fresh = str(tmp_path / "fresh")
+    run_frontier(seeds, fixture_dir["robots"], fresh, num_buckets=4)
+    rerun, whole = _bucket_tables(out, 4), _bucket_tables(fresh, 4)
+    for b in range(4):
+        assert rerun[b][0].equals(whole[b][0]), b
+    assert _manifest_counters(out) == _manifest_counters(fresh)
+    assert sorted(os.listdir(out)) == sorted(os.listdir(fresh))
+
+
 def test_counters_match_direct_pipeline(fixture_dir, tmp_path):
     from cdx_toolkit_ray.pipelines.frontier import frontier_flow, host_counters
 

@@ -16,31 +16,151 @@ from cdx_toolkit_ray import timeutils
 
 pytestmark = pytest.mark.usefixtures("ray_session")
 
-# URL-shaped strings with adversarial parts: %-escapes, brackets,
-# whitespace incl. \r\n\t, odd ports, empty labels, query soup
-_scheme = st.sampled_from(["http", "https"])
-_label = st.text(alphabet="abcz09-_%", min_size=1, max_size=6)
-_host = st.lists(_label, min_size=1, max_size=3).map(".".join)
+# URL-shaped strings with adversarial parts: schemeless and odd-scheme
+# urls, %-escapes, brackets, whitespace incl. \r\n\t, non-ASCII hosts
+# and paths, trailing-dot and bare www. hosts, default / leading-zero /
+# empty / out-of-range ports, '#' before '?', '?' inside the query
+_scheme = st.sampled_from(["http://", "https://", "HTTP://", "hTTpS://",
+                           "ftp+x.y-z://", "", "//", "1x://", "mailto:"])
+_label = st.text(alphabet="abcZ09-_%\u00e9\u0130", min_size=1, max_size=6)
+_host = st.lists(_label, min_size=0, max_size=3).map(".".join)
+_dot = st.sampled_from(["", "", "."])
 _port = st.one_of(st.just(""), st.integers(0, 99999).map(":{}".format),
-                  st.just(":08080"), st.just(":"))
-_pathc = st.text(alphabet="abz/%20?&=#[] \t\r\n.~", max_size=12)
-_www = st.sampled_from(["", "www.", "WWW.", "www2."])
+                  st.sampled_from([":80", ":443", ":08080", ":", ":0080",
+                                   ":x1", ":8080:9"]))
+_pathc = st.text(alphabet="abZ/%20?&=#[] \t\r\n.~:@\u00e9\u0130",
+                 max_size=14)
+_www = st.sampled_from(["", "www.", "WWW.", "www2.", "www"])
 
 
 @st.composite
 def urls(draw):
-    return "%s://%s%s%s/%s" % (draw(_scheme), draw(_www), draw(_host),
-                               draw(_port), draw(_pathc))
+    return "%s%s%s%s%s/%s" % (draw(_scheme), draw(_www), draw(_host),
+                                draw(_dot), draw(_port), draw(_pathc))
 
 
-@given(st.lists(urls(), min_size=1, max_size=40))
-@settings(max_examples=150, deadline=None)
+# mostly url-shaped, some arbitrary text, empty and null urls
+_any_url = st.one_of(urls(), urls(), urls(), st.text(max_size=30),
+                     st.just(""), st.none())
+
+
+def _spec_row(u):
+    """(urlkey, host, hash64) by the scalar spec; a null url or one
+    ``urlsplit`` rejects gets (None, None, 0)."""
+    if u is None:
+        return None, None, 0
+    try:
+        key = surt(u)
+        return key, host_of(u), hash64(key)
+    except ValueError:
+        return None, None, 0
+
+
+def _assert_spec(out, batch_urls):
+    want = [_spec_row(u) for u in batch_urls]
+    assert out["urlkey"].to_pylist() == [w[0] for w in want]
+    # host is the politeness and robots key
+    assert out["host"].to_pylist() == [w[1] for w in want]
+    assert out["hash64"].to_pylist() == [w[2] for w in want]
+
+
+@given(st.lists(_any_url, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
 def test_canonicalize_batch_matches_scalar_spec(batch_urls):
     tbl = pa.table({"url": pa.array(batch_urls, pa.string())})
-    out = canonicalize_batch(tbl)
-    assert out["urlkey"].to_pylist() == [surt(u) for u in batch_urls]
-    # host is the politeness and robots key
-    assert out["host"].to_pylist() == [host_of(u) for u in batch_urls]
+    _assert_spec(canonicalize_batch(tbl), batch_urls)
+
+
+@given(st.lists(_any_url, min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_canonicalize_batch_many_rows_per_origin(pool, seed):
+    """Over 2,048 rows drawn from a small pool: origins repeat, and the
+    per-origin hash states feed the vectorized FNV path."""
+    rng = np.random.default_rng(seed)
+    batch_urls = [pool[i] for i in rng.integers(0, len(pool), 2100)]
+    out = canonicalize_batch(pa.table({"url": pa.array(batch_urls,
+                                                       pa.string())}))
+    want = {i: _spec_row(u) for i, u in enumerate(pool)}
+    pos = {u: i for i, u in enumerate(pool)}
+    rows = [want[pos[u]] for u in batch_urls]
+    assert out["urlkey"].to_pylist() == [r[0] for r in rows]
+    assert out["host"].to_pylist() == [r[1] for r in rows]
+    assert out["hash64"].to_pylist() == [r[2] for r in rows]
+
+
+@given(st.lists(_any_url, min_size=0, max_size=40), st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_canonicalize_batch_composes_over_blocks(batch_urls, cut):
+    """A batch's output is the concatenation of its two halves' outputs,
+    on every column: no row depends on the other rows of its block."""
+    tbl = pa.table({"url": pa.array(batch_urls, pa.string())})
+    cut = min(cut, len(batch_urls))
+    whole = canonicalize_batch(tbl)
+    parts = pa.concat_tables([canonicalize_batch(tbl.slice(0, cut)),
+                              canonicalize_batch(tbl.slice(cut))])
+    assert whole.schema == parts.schema
+    assert whole.equals(parts)
+
+
+_hosts = st.one_of(st.none(), st.text(alphabet="aw.2W\u00e9", max_size=8),
+                  st.sampled_from(["www.a.com", "a.com", "www2.a.com",
+                                   "wwwa.com", "www.", "WWW.a.com"]))
+
+
+@given(st.lists(_hosts, min_size=0, max_size=60), st.integers(1, 70),
+       st.integers(0, 40))
+@settings(max_examples=120, deadline=None)
+def test_add_host_bucket_hashes_each_host(hosts, num_buckets, reps):
+    """Row by row, the route bucket is hash64(host without
+    ^www\\d*\\.) % B (B buckets), the lineage bucket hash64(host) % B,
+    and a null host goes to bucket 0; repeats reach the vectorized
+    hash path."""
+    import re
+
+    from cdx_toolkit_ray.pipelines.frontier import _add_host_bucket
+
+    hosts = hosts * (reps if len(hosts) * reps <= 2500 else 1)
+    tbl = pa.table({"host": pa.array(hosts, pa.string())})
+    for strip in (True, False):
+        got = _add_host_bucket(num_buckets, strip_www=strip)(tbl)
+        want = [0 if h is None else
+                hash64(re.sub(r"^www\d*\.", "", h) if strip else h)
+                % num_buckets for h in hosts]
+        assert got["host_bucket"].to_pylist() == want
+        assert got.schema.field("host_bucket").type == pa.int64()
+
+
+_PATH_RE = r"^[a-zA-Z][a-zA-Z0-9+.\-]*://[^/?#]*([^?#]*)"
+
+
+@given(st.lists(st.tuples(_any_url, st.sampled_from(["h1", "h2", "h3"])),
+                min_size=1, max_size=40),
+       st.lists(st.text(alphabet="/ab?#\u00e9%", min_size=1, max_size=4),
+                min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_robots_gate_path_matches_scalar_reference(rows, prefixes):
+    """The gate's path (everything after ``scheme://authority`` up to
+    ``?``/``#``, '/' when empty or schemeless) and its startswith check
+    against a scalar ``re`` reference, non-ASCII urls included."""
+    import re
+
+    from cdx_toolkit_ray.pipelines.frontier import make_robots_gate
+
+    robots = {"h1": (100, tuple(prefixes)), "h2": (200, ())}
+    tbl = pa.table({"url": pa.array([u for u, _ in rows], pa.string()),
+                    "host": pa.array([h for _, h in rows], pa.string())})
+    out = make_robots_gate(robots)(tbl)
+
+    def blocked(u, h):
+        m = re.match(_PATH_RE, u) if u is not None else None
+        path = (m.group(1) if m else "") or "/"
+        return any(path.startswith(p) for p in robots.get(h, (0, ()))[1])
+
+    assert out["robots_blocked"].to_pylist() == [blocked(u, h)
+                                                 for u, h in rows]
+    assert out["crawl_delay_ms"].to_pylist() == [
+        robots.get(h, (3000,))[0] for _, h in rows]
 
 
 def test_canonicalize_batch_nulls_urls_urlsplit_rejects():
@@ -79,6 +199,21 @@ def test_hash64_batch_long_strings(keys):
     big = [k * 40 for k in keys] * 300  # >2048 rows -> vectorized path
     got = hash64_batch(pa.array(big, pa.string()))
     want = np.array([hash64(k) for k in big], np.uint64)
+    assert (got == want).all()
+
+
+@given(st.lists(st.tuples(st.text(max_size=20), st.text(max_size=20)),
+                min_size=1, max_size=30), st.integers(1, 120))
+@settings(max_examples=60, deadline=None)
+def test_hash64_batch_init_continues_the_prefix_state(pairs, reps):
+    """hash64_batch(suffixes, init=hash64_batch(prefixes)) is the hash
+    of prefix + suffix, on the scalar and the vectorized path."""
+    pairs = pairs * reps
+    pre = [p for p, _ in pairs]
+    suf = [s for _, s in pairs]
+    got = hash64_batch(pa.array(suf, pa.string()),
+                       init=hash64_batch(pa.array(pre, pa.string())))
+    want = np.array([hash64(p + s) for p, s in pairs], np.uint64)
     assert (got == want).all()
 
 

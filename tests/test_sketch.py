@@ -42,6 +42,22 @@ def test_heavy_hitters_exact_under_pruning(m):
     assert len(want) > 0  # the test actually exercises hits
 
 
+def test_heavy_hitters_never_calls_limit(monkeypatch):
+    """The candidate keys reach the driver through one materialized
+    collect: no implicit ``limit(1)`` schema probe runs."""
+    def boom(*a, **k):
+        raise AssertionError("Dataset.limit called")
+
+    keys = _skewed_keys(n=4000)
+    ds = ray.data.from_items([{"host": k} for k in keys],
+                             override_num_blocks=8)
+    monkeypatch.setattr(ray.data.Dataset, "limit", boom)
+    threshold = len(keys) // 16
+    got = heavy_hitters(ds, "host", threshold=threshold).take_all()
+    assert {r["host"]: r["n_rows"] for r in got} == \
+        _exact(keys, threshold)
+
+
 def test_heavy_hitters_phi_threshold():
     keys = _skewed_keys(n=4000)
     ds = ray.data.from_items([{"host": k} for k in keys],

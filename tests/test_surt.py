@@ -66,9 +66,9 @@ def test_canonicalize_batch():
 
 
 def test_canonicalize_batch_fallback_edges():
-    """URLs with embedded CR/LF and leading-zero ports must take the
-    scalar fallback (urlsplit strips \\r\\n and normalizes the port;
-    the polars regex path would not)."""
+    """URLs with embedded CR/LF take the scalar fallback (urlsplit
+    strips \\r\\n); leading-zero ports are read as urlsplit's integer
+    port ("08080" -> ":8080", "080" -> default, dropped)."""
     import pyarrow as pa
 
     from cdx_toolkit_ray import canon as s
