@@ -9,11 +9,11 @@ and training-data operators over ``$GRAFT_SF_DIR`` (default
      "queries": {...}, "sf": ..., "num_cpus": N,
      "frontier_urls": ..., "frontier_urls_per_sec": ...}
 
-``--scaling`` re-runs the headline frontier pipeline in fresh
-processes at N and 4N CPUs (default 2 and 8; GRAFT_SCALE_LO/HI to
-override, same input) and reports both throughputs plus the N->4N
-scaling efficiency (sandbox stand-in for N-node vs 4N-node clusters;
-pair choice + measurement protocol rationale in BASELINE.md).
+``--scaling`` runs ``jobs.py --bench``'s local pair over the headline
+frontier input: the frontier job in fresh processes at N and 4N CPUs
+(default 2 and 8; GRAFT_SCALE_LO/HI to override, same input), both
+throughputs plus the N->4N scaling efficiency (sandbox stand-in for
+N-node vs 4N-node clusters; pair choice rationale in BASELINE.md).
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ _DELAYS = (550, 1000, 3000, 6000)
 
 def prepare_seeds(sf_dir: str, replicate: int) -> str:
     """Materialize the frontier seeds table (input_hint shape: one URL
-    per row + priority + unique seed_order) once per (sf, replicate),
+    per row + priority + unique seed_order; crawl delays come from the
+    host table, :func:`_delay_map`) once per (sf, replicate),
     derived deterministically from lineitem. Cached under /tmp; NOT
     part of the timed pipeline (it is the benchmark's input table).
 
@@ -66,7 +67,9 @@ def prepare_seeds(sf_dir: str, replicate: int) -> str:
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    tag = hashlib.sha1(("%s|%d" % (sf_dir, replicate)).encode()).hexdigest()[:10]
+    # the column list keys the cache: a table of another layout is stale
+    tag = hashlib.sha1(("%s|%d|url,priority,seed_order"
+                        % (sf_dir, replicate)).encode()).hexdigest()[:10]
     path = "/tmp/cdxray_bench_seeds_%s" % tag
     if os.path.exists(os.path.join(path, ".done")):
         return path
@@ -85,7 +88,6 @@ def prepare_seeds(sf_dir: str, replicate: int) -> str:
     host = np.where(hot, "big-portal", np.char.add("supp", hostid.astype(str)))
     www = np.where(ok % 2 == 0, "www.", "")
     q = np.where(ln % 3 == 0, "?b=2&a=1", "")
-    delays = np.array(_DELAYS, dtype=np.int64)[np.where(hot, 0, hostid % 4)]
 
     url = np.char.add(np.char.add("https://", www.astype(str)),
                       np.char.add(host.astype(str), ".example/o/"))
@@ -100,7 +102,6 @@ def prepare_seeds(sf_dir: str, replicate: int) -> str:
     os.makedirs(path, exist_ok=True)
     url_arr = pa.array(url.tolist(), pa.string())
     prio_arr = pa.array((ln % 4).astype(np.int32))
-    delay_arr = pa.array(delays, pa.int64())
     rows_per_file = 150_000
     fno = 0
     for r in range(replicate):
@@ -109,7 +110,6 @@ def prepare_seeds(sf_dir: str, replicate: int) -> str:
             "priority": prio_arr,
             "seed_order": pa.array(np.arange(n, dtype=np.int64) + r * n,
                                    pa.int64()),
-            "crawl_delay_ms": delay_arr,
         })
         for lo in range(0, n, rows_per_file):
             pq.write_table(t.slice(lo, rows_per_file),
@@ -134,8 +134,8 @@ def derive_frontier_seeds(sf_dir: str, num_cpus: int):
     path = prepare_seeds(sf_dir, REPLICATE)
     nfiles = len(glob.glob(os.path.join(path, "*.parquet")))
     nblocks = max(num_cpus * 2, (nfiles * 150_000) // 600_000, 1)
-    # prune at the read: crawl_delay_ms is a pure function of host and
-    # attaches from a broadcast host table (frontier_chain)
+    # crawl_delay_ms is a pure function of host and attaches from a
+    # broadcast host table (frontier_chain)
     return ray.data.read_parquet(path, override_num_blocks=nblocks,
                                  columns=["url", "priority", "seed_order"])
 
@@ -526,68 +526,56 @@ def main() -> None:
     ray.shutdown()
 
 
+def prepare_robots(seeds_path: str) -> str:
+    """The robots table of :func:`prepare_seeds`' hosts: :func:`_delay_map`
+    as (host, crawl_delay_ms, disallow) rows, no disallow rules; written
+    once beside the seeds directory."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    path = seeds_path + "_robots.parquet"
+    if not os.path.exists(path):
+        m = _delay_map()
+        pq.write_table(pa.table({
+            "host": pa.array(list(m), pa.string()),
+            "crawl_delay_ms": pa.array(list(m.values()), pa.int64()),
+            "disallow": pa.array([[]] * len(m), pa.list_(pa.string())),
+        }), path + ".tmp")
+        os.replace(path + ".tmp", path)
+    return path
+
+
 def scaling() -> None:
     """Same frontier job at N and 4N CPUs in fresh processes (sandbox
-    stand-in for N- vs 4N-node clusters).
+    stand-in for N- vs 4N-node clusters): ``jobs.py --bench``'s local
+    pair over :func:`prepare_seeds` (GRAFT_REPLICATE, default 32) and
+    :func:`prepare_robots`. That pair interleaves the lo/hi legs over
+    GRAFT_SCALE_ATTEMPTS attempts (default 5), reports the best-based
+    and the median-based efficiency and the host's cores, and refuses
+    a leg wider than the host.
 
-    Default pair is 2 -> 8: on a real cluster every added NODE brings
-    its own memory bandwidth, but on this single box the string/shuffle
-    workload saturates the socket's bandwidth around ~8-16 cores
-    (measured: the canonicalizer kernel scales 0.97 from 2->8 procs but
-    0.65 from 8->32 while a cache-resident matmul scales 0.93 to 32 —
-    see BASELINE.md), so 2->8 is the pair whose per-worker bandwidth
-    matches the multi-node setting. Override with GRAFT_SCALE_LO/HI.
-    A settle pause between runs lets the previous Ray session's workers
-    exit (overlapping teardown measurably contaminates the next run).
+    Default pair is 2 -> 8 (GRAFT_SCALE_LO/HI): on a real cluster every
+    added NODE brings its own memory bandwidth, but on one box the
+    string/shuffle workload saturates the socket's bandwidth around
+    ~8-16 cores (see BASELINE.md), so 2->8 is the pair whose per-worker
+    bandwidth matches the multi-node setting.
     """
-    lo = int(os.environ.get("GRAFT_SCALE_LO", "2"))
-    hi = int(os.environ.get("GRAFT_SCALE_HI", "8"))
-    rep = os.environ.get("GRAFT_REPLICATE", "32")
-    prepare_seeds(SF_DIR, int(rep))  # build input before any timed run
-    attempts = int(os.environ.get("GRAFT_SCALE_ATTEMPTS", "2"))
+    import tempfile
 
-    def run_one(cpus: int) -> dict:
-        env = dict(os.environ,
-                   RAY_GRAFT_CPUS=str(cpus),
-                   GRAFT_REPLICATE=rep)
-        p = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--headline-only"],
-            env=env, capture_output=True, text=True, check=True)
-        time.sleep(10)
-        line = [ln for ln in p.stdout.splitlines() if ln.startswith("{")][-1]
-        r = json.loads(line)
-        return {"sec": r["queries"]["frontier"],
-                "cold_sec": r["queries"].get("frontier_cold"),
-                "urls": r["frontier_urls"],
-                "urls_per_sec": r["frontier_urls_per_sec"]}
+    here = os.path.dirname(os.path.abspath(__file__))
+    sys.path.insert(0, here)
+    # the legs run ``python -m cdx_toolkit_ray.jobs`` from any cwd
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (here, os.environ.get("PYTHONPATH")) if p)
+    from cdx_toolkit_ray import jobs
 
-    # This sandbox VM alternates between fast and slow host windows
-    # lasting minutes (identical back-to-back runs differ >2x; windows
-    # are shorter than one lo+hi pair, so even a pair's two legs can
-    # straddle windows — a paired estimator produced both 0.4 and 1.3
-    # "efficiencies" from the same binary). Host interference is
-    # strictly ADDITIVE (a slow window only ever inflates a run), so
-    # the engine's true per-config time is estimated by the BEST run
-    # of each config across interleaved attempts; the efficiency is
-    # the ratio of those bests. All raw attempts are reported.
-    runs_lo, runs_hi = [], []
-    for _ in range(attempts):
-        runs_lo.append(run_one(lo))
-        runs_hi.append(run_one(hi))
-    best_lo = min(runs_lo, key=lambda r: r["sec"])
-    best_hi = min(runs_hi, key=lambda r: r["sec"])
-    eff = (best_hi["urls_per_sec"] / best_lo["urls_per_sec"]) / (hi / lo)
-    print(json.dumps({
-        "metric": "frontier scaling efficiency %d->%d cpus" % (lo, hi),
-        "value": round(eff, 3),
-        "unit": "efficiency",
-        "runs": {lo: best_lo, hi: best_hi},
-        "all_runs": {lo: runs_lo, hi: runs_hi},
-        "estimator": "best-of-%d per config (additive host noise)"
-                     % attempts,
-        "sf": SF_DIR,
-        "replicate": int(rep),
-    }))
+    # build the input before any timed run
+    seeds = prepare_seeds(SF_DIR, int(os.environ.get("GRAFT_REPLICATE",
+                                                     "32")))
+    with tempfile.TemporaryDirectory() as out:
+        sys.exit(jobs.main(["--bench", "--seeds", seeds,
+                            "--robots", prepare_robots(seeds),
+                            "--out", out]))
 
 
 def seen_bench() -> None:

@@ -25,18 +25,33 @@ Wave anatomy (driver holds only object refs + a per-wave count):
    crawl_bfs probe-round pattern — no extra executor launch), and the
    distinct dst URLs become the next wave's frontier.
 
+``crawl_waves`` and ``run_crawl`` run the same wave loop
+(``_wave_loop``). ``run_crawl`` adds, around it, per-wave politeness
+and persistence:
+
+- **schedule** — between the seen gate and the fetch, each wave runs
+  ONE host round (``frontier._host_round``): its split tasks add fetch
+  ids, hosts and robots flags; its merges fold the earlier waves'
+  per-host (host, last slot, count) partials and slot the rows on the
+  engine's one politeness kernel (``frontier.make_bucket_scheduler``,
+  ranked by url, the carried last slot as base); ``max_per_host``
+  filters ``prior + host_rank < cap`` after it;
+- **persist** — one atomic partition per wave plus its manifest entry;
+  a resume re-primes the seen gate, the partials and the frontier
+  from the stored waves.
+
 Scale notes (100 TB / multi-node): the per-wave fetched blocks stay in
 the object store as refs (spillable); the seen set is the sharded actor
 pool a resumable crawl checkpoints; the loop count is the bounded
-``max_waves``, never data-dependent. Politeness composition is proven
-separately (``fetch_requeue`` continues per-host clocks across waves);
-this loop focuses on the content-feedback edge. At real scale the
-payload side of the transport rides the hash-bucket content join
-(pipelines/warcout.py extract_content) — ``UrlTableTransport``'s
-per-actor index is the bounded-corpus sandbox twin.
+``max_waves``, never data-dependent. At real scale the payload side of
+the transport rides the hash-bucket content join (pipelines/warcout.py
+extract_content) — ``UrlTableTransport``'s per-actor index is the
+bounded-corpus sandbox twin.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -45,10 +60,11 @@ import ray
 import ray.data
 
 from ..canon import hash64_batch
-from ..stages.exchange import hash_bucket_apply
 from ..state.seen import SeenFilterStage, ShardedSeenSet
 from ..stages.links import _gate_block, link_kernel
 from .fetch import TableTransport, fetch_execute
+from .frontier import (_host_round, load_robots, make_bucket_scheduler,
+                       make_robots_gate)
 
 __all__ = ["UrlTableTransport", "crawl_waves", "run_crawl"]
 
@@ -141,169 +157,70 @@ def _prep_wave(batch: pa.Table) -> pa.Table:
     return batch.append_column("host", cb["host"])
 
 
-# --- cross-wave politeness: a narrow (host, base) exchange per wave ----
+# --- cross-wave politeness: per-host partials beside the wave's rows ----
 #
 # The per-host virtual clock must hold ACROSS waves, not only within
 # one (the fetch_requeue contract generalized to N waves): wave w+1's
 # first slot for host h starts after wave w's last slot for h. The
-# carried state is one narrow row per ACTIVE host — at web scale that
-# stream is bucketed through the same exchange as the rows themselves,
-# never a driver dict.
-
-_SCHED_KIND_ROW = 0   # a frontier row awaiting a slot
-_SCHED_KIND_BASE = 1  # carried state: host's last assigned slot
-
-
-def _key_sched(nb: int):
-    nbu = np.uint64(nb)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        hb = (hash64_batch(batch["host"]) % nbu).astype(np.int64)
-        n = batch.num_rows
-        return pa.table({
-            "bucket": pa.array(hb, pa.int64()),
-            "kind": pa.array(np.zeros(n, np.int8), pa.int8()),
-            "url": batch["url"].cast(pa.string()),
-            "hop": batch["hop"].cast(pa.int64()),
-            "fetch_id": batch["fetch_id"].cast(pa.int64()),
-            "host": batch["host"].cast(pa.string()),
-            "crawl_delay_ms": batch["crawl_delay_ms"].cast(pa.int64()),
-            "fetch_ms": pa.array([None] * n, pa.int64()),
-            "n_fetched": pa.array([None] * n, pa.int64()),
-        })
-
-    return fn
+# carried state is one narrow (host, last_ms, n_fetched) partial per
+# host per scheduled block of each earlier wave (per stored wave file
+# on resume). The partials travel through the wave's host round beside
+# the rows, never through a driver dict, and each bucket folds its
+# hosts' partials by (max slot, summed count).
 
 
-def _key_base_tbl(nb: int, tbl: pa.Table) -> pa.Table:
-    """Base rows (host, fetch_ms) -> full exchange schema, kind=1."""
-    nbu = np.uint64(nb)
-    n = tbl.num_rows
-    hb = (hash64_batch(tbl["host"]) % nbu).astype(np.int64)
-    return pa.table({
-        "bucket": pa.array(hb, pa.int64()),
-        "kind": pa.array(np.ones(n, np.int8), pa.int8()),
-        "url": pa.array([None] * n, pa.string()),
-        "hop": pa.array([None] * n, pa.int64()),
-        "fetch_id": pa.array([None] * n, pa.int64()),
-        "host": tbl["host"].cast(pa.string()),
-        "crawl_delay_ms": pa.array([None] * n, pa.int64()),
-        "fetch_ms": tbl["fetch_ms"].cast(pa.int64()),
-        "n_fetched": tbl["n_fetched"].cast(pa.int64()),
-    })
+def _host_partials(src) -> pa.Table:
+    """``(host, last_ms, n_fetched)`` per host of scheduled rows: a
+    table of them, or the path of a stored wave file."""
+    if isinstance(src, str):
+        import pyarrow.parquet as pq
+
+        src = pq.read_table(src, columns=["host", "fetch_ms"])
+    g = src.group_by("host").aggregate([("fetch_ms", "max"),
+                                        ("fetch_ms", "count")])
+    return pa.table({"host": g["host"], "last_ms": g["fetch_ms_max"],
+                     "n_fetched": g["fetch_ms_count"]})
 
 
-@ray.remote
-def _key_base_block(nb: int, tbl: pa.Table) -> pa.Table:
-    return _key_base_tbl(nb, tbl)
+_partials = ray.remote(_host_partials)
 
 
-def _base_rows(hosts: list, fms: list, nf: list) -> pa.Table:
-    n = len(hosts)
-    return pa.table({
-        "kind": pa.array(np.ones(n, np.int8), pa.int8()),
-        "url": pa.array([None] * n, pa.string()),
-        "hop": pa.array([None] * n, pa.int64()),
-        "fetch_id": pa.array([None] * n, pa.int64()),
-        "host": pa.array(hosts, pa.string()),
-        "crawl_delay_ms": pa.array([None] * n, pa.int64()),
-        "fetch_ms": pa.array(fms, pa.int64()),
-        "n_fetched": pa.array(nf, pa.int64()),
-    })
+def _wave_rows(robots_fn):
+    """The wave round's per-block pass: frontier blocks get their fetch
+    id, host and robots flags; carried partials pass as they are."""
+
+    def run(t: pa.Table) -> pa.Table:
+        return t if "n_fetched" in t.column_names else robots_fn(_prep_wave(t))
+
+    return run
 
 
-def _sched_bucket(tbl: pa.Table, cap: int | None = None) -> pa.Table:
-    """One host-hash bucket: assign this wave's politeness slots and
-    roll the per-host base forward.
-
-    Slots: rows rank within their host in url order (unique after the
-    seen gate); ``fetch_ms = base + (rank+1) * crawl_delay_ms`` with
-    ``base = -delay`` for hosts never fetched (first slot lands at 0,
-    the frontier scheduler's convention). With ``cap`` set, rows whose
-    cumulative per-host fetch count (earlier waves + this wave's rank)
-    would reach the cap are DROPPED — the per-host crawl budget; their
-    links are never harvested and the seen gate keeps them from coming
-    back. Emits the scheduled rows (kind 0) plus one base row per host
-    (kind 1, carrying last slot + total fetched) — including carried
-    hosts with no rows this wave. Incoming base rows fold by
-    (max slot, summed count), so resume can feed per-wave partials."""
-    import pandas as pd
-
-    kind = tbl["kind"].to_numpy(zero_copy_only=False)
-    base_t = tbl.filter(pa.array(kind == _SCHED_KIND_BASE))
-    f = tbl.filter(pa.array(kind == _SCHED_KIND_ROW))
-    base_ms: dict = {}
-    base_n: dict = {}
-    if base_t.num_rows:
-        bh = pd.Series(base_t["host"].to_numpy(zero_copy_only=False))
-        bm = pd.Series(base_t["fetch_ms"].to_numpy(zero_copy_only=False)
-                       .astype(np.int64))
-        bn = pd.Series(base_t["n_fetched"].to_numpy(zero_copy_only=False)
-                       .astype(np.int64))
-        base_ms = bm.groupby(bh).max().to_dict()
-        base_n = bn.groupby(bh).sum().to_dict()
-
-    out_cols = ["kind", "url", "hop", "fetch_id", "host",
-                "crawl_delay_ms", "fetch_ms", "n_fetched"]
-    if f.num_rows == 0:
-        hosts = sorted(base_ms)
-        return _base_rows(hosts, [base_ms[h] for h in hosts],
-                          [base_n.get(h, 0) for h in hosts]) \
-            .select(out_cols)
-
-    hosts = f["host"].to_numpy(zero_copy_only=False)
-    codes, uniq = pd.factorize(hosts)
-    delay = f["crawl_delay_ms"].to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    # per-host delay = first row's (robots delay is a host property)
-    first_idx = np.full(len(uniq), len(codes), np.int64)
-    np.minimum.at(first_idx, codes, np.arange(len(codes)))
-    delay_u = delay[first_idx]
-    base_u = np.array([base_ms.get(h, -int(d))
-                       for h, d in zip(uniq, delay_u)], np.int64)
-    prior_u = np.array([base_n.get(h, 0) for h in uniq], np.int64)
-
-    urls = f["url"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((urls, codes))
-    s_host = codes[order]
-    new_run = np.r_[True, s_host[1:] != s_host[:-1]] \
-        if len(order) else np.zeros(0, bool)
-    starts = np.flatnonzero(new_run)
-    run_id = np.cumsum(new_run) - 1
-    rank_sorted = np.arange(len(order)) - starts[run_id]
-    rank = np.empty(len(codes), np.int64)
-    rank[order] = rank_sorted
-
+def _schedule_bucket(cap: int | None, t: pa.Table) -> pa.Table:
+    """One host bucket of a wave: fold the carried partials by (max
+    slot, summed count), slot the frontier rows in url order on the
+    politeness kernel, and keep the schedulable rows. With ``cap`` set,
+    a row whose host's count (earlier waves + its rank) would reach the
+    cap is DROPPED — the per-host crawl budget; its links are never
+    harvested and the seen gate keeps it from coming back."""
+    base = None
+    if "n_fetched" in t.column_names:
+        carried = t["n_fetched"].is_valid()
+        folded = t.filter(carried).group_by("host").aggregate(
+            [("last_ms", "max"), ("n_fetched", "sum")])
+        base = pa.table({"host": folded["host"],
+                         "last_ms": folded["last_ms_max"],
+                         "n_fetched": folded["n_fetched_sum"]})
+        t = t.filter(pc.invert(carried)).drop_columns(["last_ms",
+                                                       "n_fetched"])
+    if "url" not in t.column_names:
+        return pa.table({})
+    out = make_bucket_scheduler(order=("url",))(t, base)
+    keep = pc.greater_equal(out["host_rank"], 0)
     if cap is not None:
-        keep = (prior_u[codes] + rank) < cap
-        f = f.filter(pa.array(keep))
-        codes, rank = codes[keep], rank[keep]
-    fetch_ms = base_u[codes] + (rank + 1) * delay_u[codes]
-
-    counts = np.bincount(codes, minlength=len(uniq))
-    new_ms = {h: int(b + c * d) for h, b, c, d in
-              zip(uniq, base_u, counts, delay_u)}
-    new_n = {h: int(p + c) for h, p, c in zip(uniq, prior_u, counts)}
-    for h, m in base_ms.items():
-        if h not in new_ms:
-            new_ms[h] = m
-            new_n[h] = base_n.get(h, 0)
-    bhosts = sorted(new_ms)
-
-    sched = pa.table({
-        "kind": pa.array(np.zeros(f.num_rows, np.int8), pa.int8()),
-        "url": f["url"].cast(pa.string()),
-        "hop": f["hop"].cast(pa.int64()),
-        "fetch_id": f["fetch_id"].cast(pa.int64()),
-        "host": f["host"].cast(pa.string()),
-        "crawl_delay_ms": f["crawl_delay_ms"].cast(pa.int64()),
-        "fetch_ms": pa.array(fetch_ms, pa.int64()),
-        "n_fetched": pa.array([None] * f.num_rows, pa.int64()),
-    })
-    bases = _base_rows(bhosts, [new_ms[h] for h in bhosts],
-                       [new_n[h] for h in bhosts])
-    return pa.concat_tables([sched.select(out_cols),
-                             bases.select(out_cols)])
+        prior = 0 if base is None else pc.fill_null(base["n_fetched"].take(
+            pc.index_in(out["host"], value_set=base["host"])), 0)
+        keep = pc.and_(keep, pc.less(pc.add(prior, out["host_rank"]), cap))
+    return out.filter(keep)
 
 
 @ray.remote
@@ -315,44 +232,6 @@ def _url_gate_block(gate_fn, tbl: pa.Table) -> pa.Table:
     if tbl is None or tbl.num_rows == 0:
         return tbl
     return gate_fn(tbl)
-
-
-@ray.remote
-def _tbl_len(tbl: pa.Table) -> int:
-    return tbl.num_rows
-
-
-@ray.remote(num_returns=2)
-def _split_sched(tbl: pa.Table):
-    """(scheduled rows, base rows) of one exchange output block."""
-    kind = tbl["kind"].to_numpy(zero_copy_only=False)
-    sched = tbl.filter(pa.array(kind == _SCHED_KIND_ROW)) \
-        .drop(["kind", "n_fetched"])
-    base = tbl.filter(pa.array(kind == _SCHED_KIND_BASE)) \
-        .select(["host", "fetch_ms", "n_fetched"])
-    return sched, base
-
-
-@ray.remote
-def _stored_wave_base(path: str) -> pa.Table:
-    """Resume path: per-host (max fetch_ms, row count) of one persisted
-    wave file (a partial — the schedule kernel folds partials by
-    max slot / summed count)."""
-    import pandas as pd
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(path, columns=["host", "fetch_ms"])
-    if t.num_rows == 0:
-        return pa.table({"host": pa.array([], pa.string()),
-                         "fetch_ms": pa.array([], pa.int64()),
-                         "n_fetched": pa.array([], pa.int64())})
-    df = t.to_pandas().groupby("host", as_index=False) \
-        .agg(fetch_ms=("fetch_ms", "max"), n_fetched=("fetch_ms", "size"))
-    return pa.table({"host": pa.array(df["host"], pa.string()),
-                     "fetch_ms": pa.array(df["fetch_ms"].astype("int64"),
-                                          pa.int64()),
-                     "n_fetched": pa.array(
-                         df["n_fetched"].astype("int64"), pa.int64())})
 
 
 def _outlinks_tbl(tbl: pa.Table) -> pa.Table:
@@ -402,6 +281,76 @@ def _wave_counters(tbl: pa.Table) -> dict:
             "ok": int(pc.sum(pc.equal(acts, "ok")).as_py() or 0)}
 
 
+def _wave_loop(pages_path: str, stored: list, schedule, *, seeds,
+               seed_suffix: str, transport, max_waves: int,
+               max_attempts: int, minimum_interval: float, num_shards: int,
+               n_bits: int, exact: bool, seen_backend: str,
+               seen_expected_keys: int | None, url_gate, concurrency):
+    """The crawl loop of :func:`crawl_waves` and :func:`run_crawl`:
+    yields ``(wave, fetched, wave_refs)`` per fetched wave.
+
+    ``stored`` holds the files of completed waves ``0..k-1`` (a resume):
+    their urls prime the seen gate, the outlinks of the last one are the
+    frontier, and the loop starts at wave ``k``. Without them the
+    frontier is ``seeds`` (default: the pages urls ending in
+    ``seed_suffix``). ``schedule(hop_refs)`` turns a wave's gated
+    blocks into the Dataset to fetch, or None when nothing is left to
+    fetch (the crawl ends); without it each row just gets its fetch
+    id."""
+    if len(stored) > max_waves:
+        return  # every wave is stored: no seen set, no frontier
+    if transport is None:
+        transport = UrlTableTransport(pages_path)
+    # exact= applies to the bloom backend only; cuckoo has no false
+    # negatives by construction (fingerprints never leave their
+    # bucket pair) and sizes via seen_expected_keys
+    gate = SeenFilterStage(ShardedSeenSet(
+        num_shards=num_shards, n_bits=n_bits, exact=exact,
+        backend=seen_backend, expected_keys=seen_expected_keys))
+    if stored:
+        primed = [_gate_block.options(num_returns=2).remote(
+            gate, "url", 0, _stored_wave_urls.remote(f))
+            for files in stored for f in files]
+        ray.get([p[1] for p in primed])
+        frontier_refs = [_stored_wave_outlinks.remote(f)
+                         for f in stored[-1]]
+    else:
+        if seeds is None:
+            seeds = (ray.data.read_parquet(pages_path, columns=["url"])
+                     .map_batches(lambda b: b.filter(
+                         pc.ends_with(b["url"], seed_suffix)),
+                         batch_format="pyarrow", batch_size=None))
+        frontier_refs = (seeds.select_columns(["url"]).materialize()
+                         .to_arrow_refs())
+
+    for wave in range(len(stored), max_waves + 1):
+        if url_gate is not None:
+            frontier_refs = [_url_gate_block.remote(url_gate, r)
+                             for r in frontier_refs]
+        gated = [_gate_block.options(num_returns=2).remote(
+            gate, "url", wave, r) for r in frontier_refs]
+        counts = ray.get([g[1] for g in gated])
+        if int(sum(counts)) == 0:
+            return
+        hop_refs = [g[0] for g, n in zip(gated, counts) if n]
+        if schedule is None:
+            wds = ray.data.from_arrow_refs(hop_refs).map_batches(
+                _add_fetch_id, batch_format="pyarrow", batch_size=None)
+        else:
+            wds = schedule(hop_refs)
+            if wds is None:
+                return
+        fetched = fetch_execute(
+            wds, transport, max_attempts=max_attempts,
+            minimum_interval=minimum_interval, id_col="fetch_id",
+            concurrency=concurrency).materialize()
+        wave_refs = fetched.to_arrow_refs()
+        yield wave, fetched, wave_refs
+        if wave == max_waves:
+            return
+        frontier_refs = [_wave_outlinks.remote(r) for r in wave_refs]
+
+
 def crawl_waves(pages_path: str, *,
                 seeds: ray.data.Dataset | None = None,
                 seed_suffix: str = ".example/",
@@ -434,48 +383,13 @@ def crawl_waves(pages_path: str, *,
     """
     if max_waves < 0:
         raise ValueError("max_waves must be >= 0")
-    if transport is None:
-        transport = UrlTableTransport(pages_path)
-    # exact= applies to the bloom backend only; cuckoo has no false
-    # negatives by construction (fingerprints never leave their
-    # bucket pair) and sizes via seen_expected_keys
-    seen = ShardedSeenSet(num_shards=num_shards, n_bits=n_bits,
-                          exact=exact, backend=seen_backend,
-                          expected_keys=seen_expected_keys)
-    gate = SeenFilterStage(seen)
-
-    if seeds is None:
-        seeds = (ray.data.read_parquet(pages_path, columns=["url"])
-                 .map_batches(lambda b: b.filter(
-                     pc.ends_with(b["url"], seed_suffix)),
-                     batch_format="pyarrow", batch_size=None))
-
-    frontier_refs = (seeds.select_columns(["url"]).materialize()
-                     .to_arrow_refs())
-    out_refs: list = []
-    for wave in range(max_waves + 1):
-        if url_gate is not None:
-            frontier_refs = [_url_gate_block.remote(url_gate, r)
-                             for r in frontier_refs]
-        gated = [_gate_block.options(num_returns=2).remote(
-            gate, "url", wave, r) for r in frontier_refs]
-        counts = ray.get([g[1] for g in gated])
-        if int(sum(counts)) == 0:
-            break
-        hop_refs = [g[0] for g, n in zip(gated, counts) if n]
-        wds = (ray.data.from_arrow_refs(hop_refs)
-               .map_batches(_add_fetch_id, batch_format="pyarrow",
-                            batch_size=None))
-        fetched = fetch_execute(
-            wds, transport, max_attempts=max_attempts,
-            minimum_interval=minimum_interval, id_col="fetch_id",
-            concurrency=concurrency).materialize()
-        wave_refs = fetched.to_arrow_refs()
-        out_refs.extend(wave_refs)
-        if wave == max_waves:
-            break
-        frontier_refs = [_wave_outlinks.remote(r) for r in wave_refs]
-
+    out_refs = [r for _, _, refs in _wave_loop(
+        pages_path, [], None, seeds=seeds, seed_suffix=seed_suffix,
+        transport=transport, max_waves=max_waves,
+        max_attempts=max_attempts, minimum_interval=minimum_interval,
+        num_shards=num_shards, n_bits=n_bits, exact=exact,
+        seen_backend=seen_backend, seen_expected_keys=seen_expected_keys,
+        url_gate=url_gate, concurrency=concurrency) for r in refs]
     if not out_refs:
         return ray.data.from_arrow(_OUT_SCHEMA.empty_table())
     return (ray.data.from_arrow_refs(out_refs)
@@ -495,7 +409,6 @@ def run_crawl(pages_path: str, out_dir: str, *,
               politeness: bool = True,
               robots_path: str | None = None,
               default_delay_ms: int = 1000,
-              num_buckets: int = 16,
               max_per_host: int | None = None,
               warc_prefix: str | None = None,
               warc_size: int = 1 << 30,
@@ -507,22 +420,25 @@ def run_crawl(pages_path: str, out_dir: str, *,
     waves 8..12 only.
 
     **Politeness across waves** (``politeness=True``): every wave's
-    rows get virtual-clock slots through a per-host exchange whose
-    carried state is one narrow (host, last-slot) row per active host —
-    wave w+1's first slot for a host starts one crawl-delay after the
-    host's LAST slot in any earlier wave (the fetch_requeue contract
-    generalized to N waves), never a wall-clock sleep and never a
-    driver-side dict. With ``robots_path`` the per-host crawl-delay and
-    disallow rules come from the proven robots gate (blocked URLs are
-    dropped after the seen gate, so they are never reconsidered);
-    otherwise every host gets ``default_delay_ms``.
+    rows get virtual-clock slots in one host round
+    (``frontier._host_round``) on the politeness kernel
+    (``frontier.make_bucket_scheduler``, ranked by url), whose carried
+    state is narrow (host, last slot, count) partials of the earlier
+    waves — wave w+1's first slot for a host starts one crawl-delay
+    after the host's LAST slot in any earlier wave (the fetch_requeue
+    contract generalized to N waves), never a wall-clock sleep and
+    never a driver-side dict. With ``robots_path`` the per-host
+    crawl-delay and disallow rules come from the proven robots gate
+    (blocked URLs are dropped after the seen gate, so they are never
+    reconsidered); otherwise every host gets ``default_delay_ms``.
+    ``max_per_host`` caps each host's fetches over the whole crawl.
 
     Resume mechanics: completed waves (manifest fingerprint = pages
     footer + fetch params + seed rule) are never refetched; their urls
     re-prime the seen gate from the stored url columns (column-pruned
-    reads), the politeness base re-derives from per-wave (host,
-    max fetch_ms) partials, and the next frontier is re-derived from
-    the LAST completed wave's persisted ok rows. A wave's row set
+    reads), the politeness state re-derives from per-file (host, max
+    fetch_ms, count) partials, and the next frontier is re-derived
+    from the LAST completed wave's persisted ok rows. A wave's row set
     depends only on (pages, seeds, max_attempts), never on
     ``max_waves`` — so a finished shallow crawl extends to a deeper one
     without refetching (the fingerprint deliberately excludes
@@ -544,8 +460,6 @@ def run_crawl(pages_path: str, out_dir: str, *,
 
     if max_waves < 0:
         raise ValueError("max_waves must be >= 0")
-    if transport is None:
-        transport = UrlTableTransport(pages_path)
     manifest = LineageManifest(out_dir)
     fp = "%s+a%d+i%s+s%s" % (fingerprint_file(pages_path), max_attempts,
                              minimum_interval,
@@ -567,22 +481,6 @@ def run_crawl(pages_path: str, out_dir: str, *,
         raise ValueError("max_per_host requires politeness=True (the "
                          "budget lives in the schedule kernel)")
 
-    robots_fn = None
-    if politeness:
-        if robots_path is not None:
-            from .frontier import load_robots, make_robots_gate
-            robots_fn = make_robots_gate(ray.put(load_robots(robots_path)),
-                                         default_delay_ms)
-        else:
-            def robots_fn(batch: pa.Table) -> pa.Table:
-                n = batch.num_rows
-                batch = batch.append_column(
-                    "robots_blocked", pa.array(np.zeros(n, bool)))
-                return batch.append_column(
-                    "crawl_delay_ms",
-                    pa.array(np.full(n, default_delay_ms, np.int64),
-                             pa.int64()))
-
     _names = [f.name for f in _OUT_SCHEMA]
     out_names = (_names[:2] +
                  (["host", "fetch_ms"] if politeness else []) +
@@ -597,92 +495,41 @@ def run_crawl(pages_path: str, out_dir: str, *,
         else:
             break
 
-    seen = ShardedSeenSet(num_shards=num_shards, n_bits=n_bits,
-                          exact=exact, backend=seen_backend,
-                          expected_keys=seen_expected_keys)
-    gate = SeenFilterStage(seen)
     result = {"skipped_waves": list(done), "ran_waves": [],
               "counters": {w: {k: manifest.entries["wave=%d" % w][k]
                                for k in ("rows", "ok")} for w in done}}
+    stored = [sorted(_glob.glob(os.path.join(out_dir, "wave=%d" % w,
+                                             "*.parquet"))) for w in done]
 
-    base_refs: list = []
-    if done:
-        # re-prime the seen set and the politeness base from every
-        # stored wave, then re-derive the frontier from the last
-        # stored wave's ok rows
-        prime_refs = []
-        for w in done:
-            for f in sorted(_glob.glob(os.path.join(
-                    out_dir, "wave=%d" % w, "*.parquet"))):
-                prime_refs.append(_stored_wave_urls.remote(f))
-                if politeness:
-                    base_refs.append(_key_base_block.remote(
-                        num_buckets, _stored_wave_base.remote(f)))
-        primed = [_gate_block.options(num_returns=2).remote(
-            gate, "url", 0, r) for r in prime_refs]
-        ray.get([p[1] for p in primed])
-        last_files = sorted(_glob.glob(os.path.join(
-            out_dir, "wave=%d" % done[-1], "*.parquet")))
-        frontier_refs = [_stored_wave_outlinks.remote(f)
-                         for f in last_files]
-    else:
-        if seeds is None:
-            seeds = (ray.data.read_parquet(pages_path, columns=["url"])
-                     .map_batches(lambda b: b.filter(
-                         pc.ends_with(b["url"], seed_suffix)),
-                         batch_format="pyarrow", batch_size=None))
-        frontier_refs = (seeds.select_columns(["url"]).materialize()
-                         .to_arrow_refs())
+    schedule = None
+    if politeness:
+        # no robots table: every host allowed, at the default delay
+        robots = ({} if robots_path is None
+                  else ray.put(load_robots(robots_path)))
+        prepare = _wave_rows(make_robots_gate(robots, default_delay_ms))
+        kern = functools.partial(_schedule_bucket, max_per_host)
+        carried = [_partials.remote(f) for files in stored for f in files]
 
-    for wave in range(len(done), max_waves + 1):
-        if url_gate is not None:
-            frontier_refs = [_url_gate_block.remote(url_gate, r)
-                             for r in frontier_refs]
-        gated = [_gate_block.options(num_returns=2).remote(
-            gate, "url", wave, r) for r in frontier_refs]
-        counts = ray.get([g[1] for g in gated])
-        if int(sum(counts)) == 0:
-            break
-        hop_refs = [g[0] for g, n in zip(gated, counts) if n]
-        wds = ray.data.from_arrow_refs(hop_refs)
-        if politeness:
-            wds = (wds.map_batches(_prep_wave, batch_format="pyarrow",
-                                   batch_size=None)
-                   .map_batches(robots_fn, batch_format="pyarrow",
-                                batch_size=None)
-                   .map_batches(lambda b: b.filter(
-                       pc.invert(b["robots_blocked"])),
-                       batch_format="pyarrow", batch_size=None)
-                   .map_batches(_key_sched(num_buckets),
-                                batch_format="pyarrow", batch_size=None))
-            if base_refs:
-                wds = wds.union(ray.data.from_arrow_refs(base_refs))
-            import functools
+        def schedule(hop_refs: list) -> ray.data.Dataset | None:
+            sched = [r for b in _host_round(
+                ray.data.from_arrow_refs(hop_refs + carried), kern,
+                prepare).iter_internal_ref_bundles()
+                for r, meta in b.blocks if meta.num_rows]
+            # no rows left (all over budget or robots-blocked): the
+            # crawl ends here
+            if not sched:
+                return None
+            carried.extend(_partials.remote(r) for r in sched)
+            return ray.data.from_arrow_refs(sched)
 
-            ex = hash_bucket_apply(
-                wds, "bucket",
-                functools.partial(_sched_bucket, cap=max_per_host),
-                num_buckets=num_buckets)
-            pairs = [_split_sched.options(num_returns=2).remote(r)
-                     for r in ex.to_arrow_refs()]
-            sched_refs = [p[0] for p in pairs]
-            base_refs = [_key_base_block.remote(num_buckets, p[1])
-                         for p in pairs]
-            scounts = ray.get([_tbl_len.remote(r) for r in sched_refs])
-            if int(sum(scounts)) == 0:
-                # every surviving row was over its host budget (or
-                # robots-blocked): nothing to fetch, crawl ends here
-                break
-            sched_refs = [r for r, c in zip(sched_refs, scounts) if c]
-            wds = ray.data.from_arrow_refs(sched_refs)
-        else:
-            wds = wds.map_batches(_add_fetch_id, batch_format="pyarrow",
-                                  batch_size=None)
-        fetched = fetch_execute(
-            wds, transport, max_attempts=max_attempts,
-            minimum_interval=minimum_interval, id_col="fetch_id",
-            concurrency=concurrency).materialize()
-        wave_refs = fetched.to_arrow_refs()
+    for wave, fetched, wave_refs in _wave_loop(
+            pages_path, stored, schedule, seeds=seeds,
+            seed_suffix=seed_suffix, transport=transport,
+            max_waves=max_waves, max_attempts=max_attempts,
+            minimum_interval=minimum_interval, num_shards=num_shards,
+            n_bits=n_bits, exact=exact, seen_backend=seen_backend,
+            seen_expected_keys=seen_expected_keys, url_gate=url_gate,
+            concurrency=concurrency):
         parts = ray.get([_wave_counters.remote(r) for r in wave_refs])
         counters = {"rows": sum(p["rows"] for p in parts),
                     "ok": sum(p["ok"] for p in parts)}
@@ -702,11 +549,9 @@ def run_crawl(pages_path: str, out_dir: str, *,
             # a resumed wave would duplicate every record in the
             # segment family / leave a truncated member for ingest to
             # trip on). Safe: only never-recorded waves reach here.
-            import glob as _warc_glob
-
             from .warcbytes import write_warc_distributed
 
-            for stale in _warc_glob.glob(os.path.join(
+            for stale in _glob.glob(os.path.join(
                     out_dir, "%s-w%d-*.warc*" % (warc_prefix, wave))):
                 os.unlink(stale)
 
@@ -731,7 +576,4 @@ def run_crawl(pages_path: str, out_dir: str, *,
         manifest.record("wave=%d" % wave, fp, counters, final)
         result["ran_waves"].append(wave)
         result["counters"][wave] = counters
-        if wave == max_waves:
-            break
-        frontier_refs = [_wave_outlinks.remote(r) for r in wave_refs]
     return result

@@ -36,8 +36,11 @@ Scale notes (100 TB / 10^10-URL frontier):
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..retry import RetryPolicy
@@ -306,8 +309,7 @@ def dead_letter(fetched: ray.data.Dataset) -> ray.data.Dataset:
 
 
 def requeue(fetched: ray.data.Dataset, *,
-            actions: tuple = ("exhausted",),
-            num_buckets: int = 32) -> ray.data.Dataset:
+            actions: tuple = ("exhausted",)) -> ray.data.Dataset:
     """The crawl loop's retry feedback edge: transient dead letters ->
     a wave-2 politeness schedule.
 
@@ -321,53 +323,28 @@ def requeue(fetched: ray.data.Dataset, *,
     ACROSS waves, not just within one.
 
     Input needs the schedule columns (host, fetch_ms, crawl_delay_ms,
-    priority, seed_order) plus fetch_action. One host-bucket groupby;
-    the kernel is the vectorized run-length ranker (the politeness
-    scheduler's shape). Output: the requeued rows with ``retry_wave=2``
-    and the new ``fetch_ms``.
+    priority, seed_order) plus fetch_action. One host round
+    (``frontier._host_round``): each bucket takes its hosts' bases,
+    keeps the eligible rows and slots them on the politeness kernel
+    (``frontier.make_bucket_scheduler``). Output: the input columns of
+    the requeued rows, with the wave-2 ``fetch_ms`` and ``host_rank``,
+    plus ``retry_wave=2``.
     """
-    import pandas as pd
+    from .frontier import _host_round
 
-    from ..canon import hash64_batch
+    return _host_round(fetched, partial(_requeue_bucket, tuple(actions)))
 
-    acts = set(actions)
-    nbu = np.uint64(num_buckets)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        hb = hash64_batch(batch["host"]) % nbu
-        return batch.append_column(
-            "_hb", pa.array(hb.astype(np.int64), pa.int64()))
+def _requeue_bucket(actions: tuple, t: pa.Table) -> pa.Table:
+    """One host bucket of :func:`requeue`."""
+    from .frontier import make_bucket_scheduler
 
-    keyed = fetched.map_batches(add_bucket, batch_format="pyarrow",
-                                batch_size=None)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        hosts = g["host"].to_numpy()
-        codes, uniq = pd.factorize(hosts)
-        fm = g["fetch_ms"].to_numpy()
-        # host base over ALL wave-1 rows (eligible or not)
-        base_u = np.full(len(uniq), np.int64(-1))
-        np.maximum.at(base_u, codes, fm)
-        elig = np.isin(g["fetch_action"].to_numpy(), list(acts))
-        d = g[elig].copy()
-        if len(d) == 0:
-            out = g.iloc[0:0].copy()
-            out["retry_wave"] = np.array([], np.int64)
-            return out.drop(columns=["_hb"])
-        dc = codes[elig]
-        order = np.lexsort((d["seed_order"].to_numpy(),
-                            d["priority"].to_numpy(), dc))
-        s_host = dc[order]
-        new_run = np.r_[True, s_host[1:] != s_host[:-1]]
-        run_id = np.cumsum(new_run) - 1
-        starts = np.flatnonzero(new_run)
-        rank_sorted = np.arange(len(order)) - starts[run_id]
-        rank = np.empty(len(d), np.int64)
-        rank[order] = rank_sorted
-        delay = d["crawl_delay_ms"].to_numpy().astype(np.int64)
-        d["fetch_ms"] = base_u[dc] + (rank + 1) * delay
-        d["retry_wave"] = np.int64(2)
-        return d.drop(columns=["_hb"])
-
-    return keyed.groupby("_hb").map_groups(per_bucket,
-                                           batch_format="pandas")
+    last = t.group_by("host").aggregate([("fetch_ms", "max")])
+    base = pa.table({"host": last["host"], "last_ms": last["fetch_ms_max"]})
+    rows = t.filter(pc.is_in(t["fetch_action"],
+                             value_set=pa.array(actions, pa.string())))
+    out = make_bucket_scheduler()(
+        rows.drop_columns([c for c in ("host_rank", "fetch_ms")
+                           if c in t.column_names]), base)
+    return out.select(t.column_names).append_column(
+        "retry_wave", pa.array(np.full(out.num_rows, 2, np.int64)))

@@ -236,55 +236,76 @@ def robots_gate_distributed(ds: ray.data.Dataset, robots_path: str, *,
     return joined.map_batches(gate, batch_format="pyarrow")
 
 
-def make_bucket_scheduler(num_salts: int = 1,
-                          connections: int = 1):
-    """Politeness kernel for ONE host-hash bucket: assign fetch slots
-    under the virtual clock to every host of the bucket in one numpy
-    pass (one lexsort + run-length rank arithmetic).
+def make_bucket_scheduler(num_salts: int = 1, connections: int = 1,
+                          order: tuple = ("priority", "seed_order")):
+    """The engine's politeness kernel for ONE host-hash bucket: assign
+    fetch slots under the virtual clock to every host of the bucket in
+    one numpy pass (one lexsort + run-length rank arithmetic). The
+    frontier, the crawl's waves (pipelines/crawl.py) and the retry wave
+    (pipelines/fetch.requeue) all slot on it.
 
-    Within a host: eligible rows (not robots-blocked) ordered by
-    (priority asc, seed_order asc) get ``host_rank`` 0,1,2,... and
-    ``fetch_ms = host_rank * crawl_delay_ms``. Blocked rows keep
-    ``host_rank=-1, fetch_ms=-1``. With ``num_salts=S>1`` the rank
-    order is unchanged — only the downstream physical partitioning
-    uses the sub-queue id ``host_rank % S`` (round-robin by RANK, so
-    slot times — all distinct multiples of the delay — and the
-    per-host budget are preserved exactly). ``connections=K>1``
-    models K parallel keep-alive connections per host (what real
-    crawlers run): ranks share slots K at a time —
-    ``fetch_ms = (host_rank // K) * crawl_delay_ms`` — so the
-    inter-REQUEST interval per connection still honors the delay.
+    Within a host: eligible rows (not robots-blocked; a table without
+    ``robots_blocked`` has no blocked rows) ordered by the ``order``
+    columns get ``host_rank`` 0,1,2,... and
+    ``fetch_ms = base + (host_rank // K + 1) * crawl_delay_ms``, where
+    ``base`` is the host's last slot of an earlier wave and
+    ``K = connections``. A host never fetched has ``base =
+    -crawl_delay_ms``, so its slots are ``(host_rank // K) *
+    crawl_delay_ms``. Blocked rows keep ``host_rank=-1,
+    fetch_ms=-1``. With ``num_salts=S>1`` the rank order is unchanged —
+    only the downstream physical partitioning uses the sub-queue id
+    ``host_rank % S`` (round-robin by RANK, so slot times — all
+    distinct multiples of the delay — and the per-host budget are
+    preserved exactly). ``connections=K>1`` models K parallel
+    keep-alive connections per host (what real crawlers run): ranks
+    share slots K at a time, so the inter-REQUEST interval per
+    connection still honors the delay.
 
-    Takes and returns an Arrow table; the output is the input plus
-    ``host_rank``, ``fetch_ms`` (and ``subqueue`` when salted).
+    Returns ``bucket_slots(t, base=None)``: ``t`` is an Arrow table and
+    ``base``, when given, a table of ``(host, last_ms)`` with one row
+    per host; a host it lacks, or a null ``last_ms``, was never fetched.
+    The output is ``t`` plus ``host_rank``, ``fetch_ms`` (and
+    ``subqueue`` when salted).
     """
 
-    def bucket_slots(t: pa.Table) -> pa.Table:
+    def bucket_slots(t: pa.Table, base: pa.Table | None = None) -> pa.Table:
         def col(name):
             return t[name].to_numpy(zero_copy_only=False)
 
-        host_codes = t["host"].combine_chunks().dictionary_encode(
-            null_encoding="encode").indices.to_numpy(zero_copy_only=False)
-        eligible = ~col("robots_blocked")
+        enc = t["host"].combine_chunks().dictionary_encode(
+            null_encoding="encode")
+        host_codes = enc.indices.to_numpy(zero_copy_only=False)
+        eligible = (~col("robots_blocked") if "robots_blocked" in
+                    t.column_names else np.ones(t.num_rows, dtype=bool))
         delay = col("crawl_delay_ms").astype(np.int64)
 
-        order = np.lexsort((col("seed_order"), col("priority"), host_codes))
-        s_host = host_codes[order]
-        s_elig = eligible[order].astype(np.int64)
-        new_run = np.ones(len(order), dtype=bool)
+        order_idx = np.lexsort([col(c) for c in reversed(order)]
+                               + [host_codes])
+        s_host = host_codes[order_idx]
+        s_elig = eligible[order_idx].astype(np.int64)
+        new_run = np.ones(len(order_idx), dtype=bool)
         new_run[1:] = s_host[1:] != s_host[:-1]
         run_id = np.cumsum(new_run) - 1
         cum = np.cumsum(s_elig)
         run_starts = np.flatnonzero(new_run)
-        base = cum[run_starts] - s_elig[run_starts]
-        rank_sorted = cum - 1 - base[run_id]
+        start = cum[run_starts] - s_elig[run_starts]
+        rank_sorted = cum - 1 - start[run_id]
 
-        rank = np.full(len(order), -1, dtype=np.int64)
-        rank[order] = np.where(s_elig > 0, rank_sorted, -1)
+        rank = np.full(len(order_idx), -1, dtype=np.int64)
+        rank[order_idx] = np.where(s_elig > 0, rank_sorted, -1)
+        slot = (rank // connections) * delay
+        if base is not None:
+            # base + (rank // K + 1) * delay: a carried host's slots
+            # shift by base + delay (0 for a host never fetched)
+            last = base["last_ms"].take(
+                pa.compute.index_in(enc.dictionary, value_set=base["host"]))
+            known = last.is_valid().to_numpy(zero_copy_only=False)
+            last = last.fill_null(0).to_numpy(zero_copy_only=False)
+            slot += np.where(known[host_codes],
+                             last[host_codes] + delay, 0)
         t = t.append_column("host_rank", pa.array(rank, pa.int64()))
         t = t.append_column("fetch_ms", pa.array(
-            np.where(rank >= 0, (rank // connections) * delay, -1),
-            pa.int64()))
+            np.where(rank >= 0, slot, -1), pa.int64()))
         if num_salts > 1:
             t = t.append_column("subqueue", pa.array(
                 np.where(rank >= 0, rank % num_salts, -1), pa.int64()))

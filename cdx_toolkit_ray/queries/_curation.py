@@ -2341,10 +2341,10 @@ def q_crawl_polite(sf_dir: str):
     """The RESUMABLE polite crawl driver (pipelines/crawl.run_crawl),
     value-checked end-to-end including the cross-wave politeness
     clock: per host, wave w's rank-r slot is (prior-wave row count +
-    r) * delay — the carried-base exchange in closed form. Runs the
-    real driver (lineage manifest, atomic wave partitions) into /tmp
-    and reads the persisted partitions back; a repeat run exercises
-    the skip path and yields identical rows."""
+    r) * delay — the kernel's carried-base recurrence in closed form.
+    Runs the real driver (lineage manifest, atomic wave partitions)
+    into /tmp and reads the persisted partitions back; a repeat run
+    exercises the skip path and yields identical rows."""
     import glob as _glob
     import hashlib
     import os

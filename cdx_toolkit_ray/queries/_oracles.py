@@ -135,9 +135,11 @@ def _crawl_polite_oracle(max_waves: int = 3, delay_ms: int = 1000) -> str:
     host on the same constant delay, wave w's slot for a host's rank-r
     row is ``(prior + r) * delay`` where ``prior`` is the host's total
     row count over all earlier waves — exactly the carried-base
-    recurrence of pipelines/crawl._sched_bucket (base starts at
-    -delay; base' = base + count*delay; slot = base + (rank+1)*delay).
-    Rank orders by url within (host, wave), the kernel's lexsort."""
+    recurrence of the politeness kernel run_crawl slots each wave on
+    (pipelines/frontier.make_bucket_scheduler with order=("url",):
+    base starts at -delay; base' = base + count*delay; slot = base +
+    (rank+1)*delay). Rank orders by url within (host, wave), the
+    kernel's lexsort."""
     return _crawl_closure_ctes(max_waves) + f""",
 hostx AS (
   SELECT url, wave,

@@ -151,6 +151,8 @@ def build_zipnum(captures: ray.data.Dataset, out_dir: str, *,
     Returns ``{"rows": R, "blocks": B, "shards": S}``."""
     if lines_per_block < 1:
         raise ValueError("lines_per_block must be >= 1")
+    # one execution: a lazy input's schema() would run a hidden limit(1)
+    captures = captures.materialize()
     sch = captures.schema()
     arrow_schema = getattr(sch, "base_schema", sch)
     if json_fields is None:

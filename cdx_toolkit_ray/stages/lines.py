@@ -42,7 +42,7 @@ import ray.data
 
 from ..canon import hash64_batch
 from .dedup import _mix64
-from .exchange import hash_bucket_apply
+from .exchange import collect_refs, hash_bucket_apply
 
 
 def _split_lines(batch: pa.Table, text_col: str, id_col: str):
@@ -102,7 +102,7 @@ def duplicated_line_hashes(ds: ray.data.Dataset, *,
         emit_pairs, batch_format="pyarrow", batch_size=None)
     rep = hash_bucket_apply(pairs, "_lb", per_line,
                             num_buckets=num_buckets)
-    blocks = [b for b in ray.get(rep.to_arrow_refs()) if b.num_rows]
+    blocks = [b for b in ray.get(collect_refs(rep)) if b.num_rows]
     if not blocks:
         return np.zeros(0, np.uint64)
     return np.sort(np.concatenate(

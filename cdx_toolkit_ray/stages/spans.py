@@ -29,7 +29,7 @@ import pyarrow as pa
 import ray.data
 
 from .dedup import _mix64, doc_gram_hashes
-from .exchange import hash_bucket_apply
+from .exchange import collect_refs, hash_bucket_apply
 
 
 def repeated_span_stats(ds: ray.data.Dataset, *, text_col: str = "text",
@@ -164,13 +164,11 @@ def repeated_gram_hashes(ds: ray.data.Dataset, *, text_col: str = "text",
         rep = hs[starts[run_len >= min_docs]]
         return pa.table({"h": pa.array(rep, pa.uint64())})
 
-    from .exchange import hash_bucket_apply
-
     pairs = ds.select_columns([id_col, text_col]).map_batches(
         emit_pairs, batch_format="pyarrow", batch_size=None)
     rep = hash_bucket_apply(pairs, "_gb", per_gram,
                             num_buckets=num_buckets)
-    blocks = [b for b in ray.get(rep.to_arrow_refs()) if b.num_rows]
+    blocks = [b for b in ray.get(collect_refs(rep)) if b.num_rows]
     if not blocks:
         return np.zeros(0, np.uint64)
     return np.sort(np.concatenate(

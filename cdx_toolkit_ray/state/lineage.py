@@ -30,11 +30,27 @@ MANIFEST_NAME = "_lineage.json"
 def fingerprint_file(path: str) -> str:
     """Content fingerprint: blake2b over the file's bytes, streamed in
     1 MB reads. Any edit changes it, even one that keeps every length,
-    row count and footer the same; the mtime does not enter it."""
+    row count and footer the same; the mtime does not enter it. A
+    directory (a multi-file dataset) hashes each file's relative path
+    and bytes in sorted order, skipping names that start with ``.`` or
+    ``_`` (markers and metadata, as the Parquet readers do)."""
     h = hashlib.blake2b(digest_size=8)
-    with open(path, "rb") as fd:
-        while chunk := fd.read(1 << 20):
-            h.update(chunk)
+    files = [(None, path)]
+    if os.path.isdir(path):
+        files = sorted(
+            (os.path.relpath(os.path.join(d, n), path),
+             os.path.join(d, n))
+            for d, dirs, names in os.walk(path)
+            if not any(part.startswith((".", "_")) for part in
+                       os.path.relpath(d, path).split(os.sep)
+                       if part != ".")
+            for n in names if not n.startswith((".", "_")))
+    for rel, f in files:
+        if rel is not None:
+            h.update(rel.encode() + b"\0")
+        with open(f, "rb") as fd:
+            while chunk := fd.read(1 << 20):
+                h.update(chunk)
     return h.hexdigest()
 
 

@@ -149,16 +149,19 @@ def test_fetch_preserves_schedule_rows_and_clock(tmp_path):
     n_urls=st.integers(min_value=1, max_value=200),
     n_hosts=st.integers(min_value=1, max_value=8),
     num_salts=st.sampled_from([1, 2, 3, 4]),
+    carried=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_politeness_budget_preserved_under_salting(
-        n_urls, n_hosts, num_salts, seed):
+        n_urls, n_hosts, num_salts, carried, seed):
     """Property over the scheduling KERNEL (make_bucket_scheduler —
     the exact function schedule_politeness ships to every bucket; the
     exchange==serial-groupby identity has its own property test):
     per-host slots respect the interval, the union of sub-queue slots
     is exactly the host budget, and each sub-queue is spaced
-    num_salts * delay. Random seed lists, priorities, per-host delays."""
+    num_salts * delay. Random seed lists, priorities, per-host delays,
+    and (``carried``) a last slot from an earlier wave for some hosts,
+    after which their budget starts one delay later."""
     import pandas as pd
 
     from cdx_toolkit_ray.pipelines.frontier import make_bucket_scheduler
@@ -175,19 +178,31 @@ def test_politeness_budget_preserved_under_salting(
         "robots_blocked": np.zeros(n_urls, dtype=bool),
         "host_bucket": np.zeros(n_urls, dtype=np.int64),
     })
+    last = {}
+    base = None
+    if carried:
+        # a random half of the hosts was fetched before; one carried
+        # host may have no rows in this bucket
+        last = {"h%d.example" % h: int(rng.integers(0, 50000))
+                for h in range(n_hosts + 1) if rng.random() < 0.5}
+        base = pa.table({"host": pa.array(list(last), pa.string()),
+                         "last_ms": pa.array(list(last.values()),
+                                             pa.int64())})
     sched = make_bucket_scheduler(num_salts)(
-        pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
+        pa.Table.from_pandas(df, preserve_index=False), base).to_pandas()
     for host, g in sched.groupby("host"):
         delay_ms = int(g["crawl_delay_ms"].iloc[0])
+        start = last[host] + delay_ms if host in last else 0
         slots = np.sort(g["fetch_ms"].to_numpy())
-        # host budget: consecutive fetches >= delay apart, zero-based
-        assert slots[0] == 0
+        # host budget: consecutive fetches >= delay apart, starting one
+        # delay after the carried slot (zero-based without one)
+        assert slots[0] == start
         if len(slots) > 1:
             assert (np.diff(slots) >= delay_ms).all()
         # sub-queue budgets sum to the host budget: the union of
-        # sub-queue slots is exactly {0..n-1} * delay, and each
+        # sub-queue slots is exactly start + {0..n-1} * delay, and each
         # sub-queue is spaced num_salts * delay
-        assert (slots == np.arange(len(slots)) * delay_ms).all()
+        assert (slots == start + np.arange(len(slots)) * delay_ms).all()
         if num_salts > 1:
             for _, sq in g.groupby("subqueue"):
                 sl = np.sort(sq["fetch_ms"].to_numpy())

@@ -22,6 +22,7 @@ from cdx_toolkit_ray.pipelines.frontier import (
     frontier_flow,
     host_counters,
     load_robots,
+    make_bucket_scheduler,
 )
 
 pytestmark = pytest.mark.usefixtures("ray_session")
@@ -443,6 +444,125 @@ def test_parallel_connections_slot_sharing(ray_session):
     oh = one[(one.host == "h") & (one.host_rank >= 0)]
     assert sorted(oh["fetch_ms"].tolist()) == \
         [i * 1000 for i in range(9)]
+
+
+def serial_slots(rows, key, base=None, connections=1, num_salts=1):
+    """The slot rule as a serial loop over plain dicts: per host, the
+    eligible rows in ``key`` order get rank 0,1,... and ``fetch_ms =
+    last + (rank // connections + 1) * delay``, ``last`` the host's
+    carried slot or ``-delay``; blocked rows get (-1, -1). Returns
+    ``(host_rank, fetch_ms, subqueue)`` per row."""
+    base = base or {}
+    out = [(-1, -1, -1)] * len(rows)
+    hosts = {}
+    for i, r in enumerate(rows):
+        hosts.setdefault(r["host"], []).append(i)
+    for h, idx in hosts.items():
+        elig = sorted((i for i in idx if not rows[i]["robots_blocked"]),
+                      key=lambda i: key(rows[i]))
+        for rank, i in enumerate(elig):
+            d = rows[i]["crawl_delay_ms"]
+            last = base.get(h, -d)
+            out[i] = (rank, last + (rank // connections + 1) * d,
+                      rank % num_salts)
+    return out
+
+
+def test_bucket_scheduler_matches_serial_loop():
+    """``make_bucket_scheduler`` — the one politeness kernel — against
+    the serial slot loop, in each caller's mode:
+
+    - frontier: (priority, seed_order) ranks, blocked rows,
+      ``connections`` 1 and 3, ``num_salts`` 1 and 3;
+    - crawl (``crawl._schedule_bucket``): url ranks, carried partials
+      folded by (max slot, summed count), and a per-host cap that is
+      met in the middle of some host's wave;
+    - requeue (``fetch._requeue_bucket``): the base is the max
+      ``fetch_ms`` over all of a host's rows, eligible or not."""
+    from cdx_toolkit_ray.pipelines.crawl import _schedule_bucket
+    from cdx_toolkit_ray.pipelines.fetch import _requeue_bucket
+
+    by_prio = (lambda r: (r["priority"], r["seed_order"]))
+    for seed in range(4):
+        t = _synthetic_gated(600, 9, seed=seed, blocked_share=0.2)
+        rows = t.to_pylist()
+        for connections in (1, 3):
+            for salts in (1, 3):
+                got = make_bucket_scheduler(salts, connections)(t)
+                want = serial_slots(rows, by_prio, None, connections,
+                                    salts)
+                assert got["host_rank"].to_pylist() == \
+                    [w[0] for w in want]
+                assert got["fetch_ms"].to_pylist() == [w[1] for w in want]
+                if salts > 1:
+                    assert got["subqueue"].to_pylist() == \
+                        [w[2] for w in want]
+
+    cap = 5
+    mid_wave = 0
+    for seed in range(6):
+        rng = np.random.default_rng(100 + seed)
+        n, n_hosts = 120, 7
+        host_ids = rng.integers(0, n_hosts, n)
+        delays = np.array([300, 700, 1000])[rng.integers(0, 3, n_hosts)]
+        wave = pa.table({
+            # input order is not url order: ranking must sort
+            "url": pa.array(["https://h%d.example/p/%d" % (h, k)
+                             for h, k in zip(host_ids,
+                                             rng.permutation(n))]),
+            "hop": pa.array(np.full(n, 2, np.int64)),
+            "host": pa.array(["h%d.example" % h for h in host_ids]),
+            "robots_blocked": pa.array(rng.random(n) < 0.15),
+            "crawl_delay_ms": pa.array(delays[host_ids], pa.int64()),
+        })
+        # two partials per carried host (two earlier scheduled blocks);
+        # h0 has none: never fetched
+        ph = [h for h in range(1, n_hosts) for _ in range(2)]
+        carried = pa.table({
+            "host": pa.array(["h%d.example" % h for h in ph]),
+            "last_ms": pa.array(rng.integers(0, 9000, len(ph)), pa.int64()),
+            "n_fetched": pa.array(rng.integers(0, 3, len(ph)), pa.int64()),
+        })
+        last, prior = {}, {}
+        for r in carried.to_pylist():
+            last[r["host"]] = max(last.get(r["host"], -1), r["last_ms"])
+            prior[r["host"]] = prior.get(r["host"], 0) + r["n_fetched"]
+        got = _schedule_bucket(cap, pa.concat_tables(
+            [wave, carried], promote_options="permissive"))
+        rows = wave.to_pylist()
+        want = {}
+        for r, (rank, ms, _) in zip(rows, serial_slots(
+                rows, lambda r: r["url"], last)):
+            if rank >= 0 and prior.get(r["host"], 0) + rank < cap:
+                want[r["url"]] = (rank, ms)
+        assert dict(zip(got["url"].to_pylist(),
+                        zip(got["host_rank"].to_pylist(),
+                            got["fetch_ms"].to_pylist()))) == want
+        for h in set(r["host"] for r in rows):
+            n_elig = sum(1 for r in rows
+                         if r["host"] == h and not r["robots_blocked"])
+            mid_wave += prior.get(h, 0) < cap < prior.get(h, 0) + n_elig
+    assert mid_wave  # the cap cut some host's wave in the middle
+
+    t = _synthetic_gated(500, 6, seed=9, blocked_share=0.0)
+    rng = np.random.default_rng(9)
+    t = t.append_column("host_rank", pa.array(np.zeros(500, np.int64))) \
+        .append_column("fetch_ms", pa.array(rng.integers(0, 60000, 500),
+                                            pa.int64())) \
+        .append_column("fetch_action", pa.array(
+            rng.choice(["ok", "exhausted", "invalid"], 500)))
+    rows = t.to_pylist()
+    base = {}
+    for r in rows:
+        base[r["host"]] = max(base.get(r["host"], -1), r["fetch_ms"])
+    elig = [r for r in rows if r["fetch_action"] == "exhausted"]
+    got = _requeue_bucket(("exhausted",), t)
+    assert got.column_names == t.column_names + ["retry_wave"]
+    want = serial_slots(elig, by_prio, base)
+    assert got["seed_order"].to_pylist() == [r["seed_order"] for r in elig]
+    assert got["fetch_ms"].to_pylist() == [w[1] for w in want]
+    assert got["host_rank"].to_pylist() == [w[0] for w in want]
+    assert set(got["retry_wave"].to_pylist()) == {2}
 
 
 def _seed_layouts(tmp_path):

@@ -223,3 +223,38 @@ def test_fingerprint_sees_same_length_edit(fixture_dir, tmp_path):
     r2 = run_frontier(seeds, fixture_dir["robots"], out, num_buckets=4)
     assert r2["ran_buckets"] == [0, 1, 2, 3]
     assert r2["skipped_buckets"] == []
+
+
+def test_run_frontier_over_seeds_directory(fixture_dir, tmp_path):
+    """A multi-file seeds directory fingerprints by its files' names
+    and bytes: run_frontier over it resumes, a marker file leaves the
+    fingerprint as it is, and an edit to one file reruns every
+    bucket."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    table = pq.read_table(fixture_dir["seeds"])
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    half = table.num_rows // 2
+    pq.write_table(table.slice(0, half), str(seeds / "part-0.parquet"))
+    pq.write_table(table.slice(half), str(seeds / "part-1.parquet"))
+    before = fingerprint_file(str(seeds))
+    (seeds / ".done").write_text("")
+    assert fingerprint_file(str(seeds)) == before
+
+    out = str(tmp_path / "run")
+    assert run_frontier(str(seeds), fixture_dir["robots"], out,
+                        num_buckets=4)["ran_buckets"] == [0, 1, 2, 3]
+    assert run_frontier(str(seeds), fixture_dir["robots"], out,
+                        num_buckets=4)["ran_buckets"] == []
+
+    urls = table.slice(half)["url"].to_pylist()
+    urls[0] = urls[0] + "x"
+    pq.write_table(table.slice(half).set_column(
+        table.schema.get_field_index("url"), "url",
+        pa.array(urls, table.schema.field("url").type)),
+        str(seeds / "part-1.parquet"))
+    assert fingerprint_file(str(seeds)) != before
+    assert run_frontier(str(seeds), fixture_dir["robots"], out,
+                        num_buckets=4)["ran_buckets"] == [0, 1, 2, 3]

@@ -363,3 +363,27 @@ def test_limit_calls_never_cancel(tmp_path, monkeypatch):
     got = rows_of(query_zipnum_multi(str(root), "*.example", limit=1,
                                      stats=st))
     assert len(got) == 1 and list(st) == ["CC-MAIN-2023-14"]
+
+
+def test_build_zipnum_lazy_input_never_calls_limit(tmp_path, monkeypatch):
+    """``build_zipnum`` reads the field set of a lazy input (a
+    ``map_batches`` stage, as ``index_warc`` returns) from one
+    materialize: no implicit ``limit(1)`` schema probe runs, and the
+    index matches one built from the same rows eagerly."""
+    from cdx_toolkit_ray.sources.zipnum import build_zipnum, query_zipnum
+
+    rows = _captures(120)
+    tbl = pa.table({c: pa.array([r[c] for r in rows]) for c in COLS})
+    ref_dir, ref = _build(tmp_path, rows, lines_per_block=6)
+
+    def boom(*a, **k):
+        raise AssertionError("Dataset.limit called")
+
+    lazy = ray.data.from_arrow(tbl).map_batches(
+        lambda b: b, batch_format="pyarrow", batch_size=None)
+    monkeypatch.setattr(ray.data.Dataset, "limit", boom)
+    out = str(tmp_path / "lazy")
+    info = build_zipnum(lazy, out, lines_per_block=6, num_shards=3)
+    assert info == ref
+    assert _got(query_zipnum(out, "*.example")) == \
+        _got(query_zipnum(ref_dir, "*.example"))
