@@ -10,7 +10,12 @@ by local Parquet tables instead of remote CDX HTTP APIs.
 ``iter`` / ``get`` consume the planned task scan of
 ``sources.captures`` directly: one Ray task per selected crawl
 partition, results yielded in cc_sort order as each partition's scan
-lands, and ``limit`` stops further scans from being submitted.
+lands, and ``limit`` stops further scans from being submitted. Each
+scan's table becomes row dicts through ``rows``, a column at a time
+(equal to ``Table.to_pylist()``); the url -> html content index is
+built through the same column conversion. The scan workers keep the
+columns they decoded, so repeated calls on one fetcher mostly skip the
+Parquet decode (``sources.captures``).
 ``get_size_estimate`` counts the same plan in one round of tasks.
 ``dataset()`` returns the same scan as a ``ray.data.Dataset``. Zipnum
 sources still iterate their Ray Data lookup. The row-wise iterator is
@@ -25,6 +30,7 @@ import os
 import warnings
 from collections.abc import MutableMapping
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
@@ -33,6 +39,28 @@ from .sources.captures import (plan_query, query_captures, scan_captures,
                                size_estimate)
 
 LOGGER = logging.getLogger(__name__)
+
+
+def _values(col: pa.ChunkedArray) -> list:
+    """``col.to_pylist()``, through numpy where that gives the same
+    Python objects faster: string and binary columns, and integer or
+    bool columns without nulls."""
+    t = col.type
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)
+            or (col.null_count == 0
+                and (pa.types.is_integer(t) or pa.types.is_boolean(t)))):
+        return col.to_numpy(zero_copy_only=False).tolist()
+    return col.to_pylist()
+
+
+def rows(table: pa.Table) -> list[dict]:
+    """``table.to_pylist()``, converted a column at a time."""
+    if table.num_columns == 0:
+        return [{} for _ in range(table.num_rows)]
+    names = table.column_names
+    return [dict(zip(names, vals))
+            for vals in zip(*map(_values, table.columns))]
 
 
 class CaptureObject(MutableMapping):
@@ -278,10 +306,9 @@ class CDXFetcher:
                 self._content_index = _LazyContentIndex(self.pages_path)
             else:
                 t = pq.read_table(self.pages_path, columns=["url", "html"])
-                urls = t["url"].to_pylist()
-                htmls = t["html"].to_pylist()
                 # last capture of a url wins, matching on-disk order
-                self._content_index = dict(zip(urls, htmls))
+                self._content_index = dict(zip(_values(t["url"]),
+                                               _values(t["html"])))
         return self._content_index
 
     def _kwargs(self, kwargs):
@@ -300,24 +327,24 @@ class CDXFetcher:
 
             kw = self._kwargs(kwargs)
             kw.pop("crawl", None)  # single endpoint: no crawl pruning
-            rows = query_zipnum(self.captures_root, url=url,
-                                **kw).iter_rows()
+            found = query_zipnum(self.captures_root, url=url,
+                                 **kw).iter_rows()
         elif self.source == "zipnum_multi":
             from .sources.zipnum import query_zipnum_multi
 
             kw = self._kwargs(kwargs)
             kw.pop("crawl", None)
-            rows = query_zipnum_multi(self.captures_root, url=url,
-                                      cc_sort=self.cc_sort,
-                                      **kw).iter_rows()
+            found = query_zipnum_multi(self.captures_root, url=url,
+                                       cc_sort=self.cc_sort,
+                                       **kw).iter_rows()
         else:
             plan = plan_query(self.captures_root, url=url,
                               source=self.source, cc_sort=self.cc_sort,
                               **self._kwargs(kwargs))
-            rows = (row for ref in scan_captures(plan)
-                    for row in ray.get(ref).to_pylist())
+            found = (row for ref in scan_captures(plan)
+                     for row in rows(ray.get(ref)))
         idx = self._index()
-        for row in rows:
+        for row in found:
             yield CaptureObject(
                 row, content_index=idx,
                 warc_download_prefix=self.warc_download_prefix,

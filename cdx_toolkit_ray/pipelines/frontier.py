@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from collections import OrderedDict
 
 import numpy as np
 import pandas as pd
@@ -84,16 +85,23 @@ def load_robots(robots_path: str) -> dict:
 # Per-worker broadcast cache: stateless task workers persist across
 # batches, so each worker pays ONE plasma ray.get per object ref (the
 # broadcast-small-side pattern without reserving CPUs in an actor pool,
-# which can starve the shuffle stages on small clusters).
-_BROADCAST_CACHE: dict = {}
+# which can starve the shuffle stages on small clusters). A worker
+# outlives the runs that broadcast to it, so it keeps only the most
+# recently used refs.
+BROADCAST_CACHE_REFS = 8
+_BROADCAST_CACHE: OrderedDict = OrderedDict()
 
 
 def _get_broadcast(ref):
     if isinstance(ref, dict):
         return ref
     key = ref.hex()
-    if key not in _BROADCAST_CACHE:
+    if key in _BROADCAST_CACHE:
+        _BROADCAST_CACHE.move_to_end(key)
+    else:
         _BROADCAST_CACHE[key] = ray.get(ref)
+        if len(_BROADCAST_CACHE) > BROADCAST_CACHE_REFS:
+            _BROADCAST_CACHE.popitem(last=False)
     return _BROADCAST_CACHE[key]
 
 

@@ -31,8 +31,18 @@ costs one partition's scan; ``query_captures`` wraps the same refs in a
 ``size_estimate`` counts every selected partition with the same kernel
 and columns in one round of tasks.
 
+Each scan worker keeps the columns it decoded (``_DECODED``): an entry
+per file, keyed by the file's path, stat identity and raw Parquet
+footer, holding the columns queries have read from it so far and its
+hive partition columns. A later scan of the same file decodes only the
+columns its entry lacks. Entries are evicted least recently used first
+to keep the worker's bytes within ``DataContext.target_max_block_size``;
+a file whose columns exceed that alone is read and not kept.
+
 Scale notes: partitions scan independently (no shuffle anywhere in
-this source), and a scan holds one file plus its matches in memory.
+this source). A scan holds one file plus its matches in memory, and
+each scan worker holds at most ``target_max_block_size`` bytes of
+decoded columns between scans.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections import deque
+from collections import OrderedDict, deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import islice
@@ -50,6 +60,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
+from ray.data import DataContext
+from ray.data.context import DEFAULT_TARGET_MAX_BLOCK_SIZE
 
 from ..filters import apply_filters, compile_filters
 from ..planner import (
@@ -250,15 +262,109 @@ def plan_query(captures_root: str, url: str | None = None, source: str = "cc",
                        None if limit is None else int(limit), target)
 
 
+@dataclass
+class _FileColumns:
+    """One file's decoded columns, kept by one scan worker."""
+
+    ident: tuple          # stat identity and footer (_file_identity)
+    names: list[str]      # the file's column names
+    table: pa.Table | None  # the columns decoded so far, in read order
+    hive: dict            # built hive partition columns by key
+    nbytes: int           # the footer and the columns held
+
+
+class _DecodedColumns:
+    """A scan worker's decoded columns: file entries, least recently
+    used first, holding at most ``DataContext.target_max_block_size``
+    bytes (an entry is dropped whole)."""
+
+    def __init__(self):
+        self.files: OrderedDict[str, _FileColumns] = OrderedDict()
+        self.nbytes = 0
+
+    def take(self, path: str, ident: tuple) -> _FileColumns | None:
+        """Remove ``path``'s entry and return it if it is still the
+        file named by ``ident``."""
+        entry = self.files.pop(path, None)
+        if entry is None:
+            return None
+        self.nbytes -= entry.nbytes
+        return entry if entry.ident == ident else None
+
+    def keep(self, path: str, entry: _FileColumns) -> None:
+        """Store ``entry`` as the most recent one and evict the least
+        recent ones past the budget (``entry`` itself last, when it
+        exceeds the whole budget)."""
+        budget = DataContext.get_current().target_max_block_size
+        if budget is None:
+            budget = DEFAULT_TARGET_MAX_BLOCK_SIZE
+        self.files[path] = entry
+        self.nbytes += entry.nbytes
+        while self.nbytes > budget:
+            self.nbytes -= self.files.popitem(last=False)[1].nbytes
+
+
+# per process: a scan worker keeps the columns it decoded for the next
+# query that reads the same file
+_DECODED = _DecodedColumns()
+
+
+def _file_identity(path: str) -> tuple:
+    """The file's stat identity plus its raw Parquet footer (the last
+    ``8 + footer_len`` bytes), so a rewrite in place within one mtime
+    tick still reads as another file."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        st = os.fstat(fd)
+        end = st.st_size - 8
+        n = int.from_bytes(os.pread(fd, 4, max(0, end)), "little")
+        footer = os.pread(fd, n + 8, max(0, end - n))
+    finally:
+        os.close(fd)
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+            st.st_ctime_ns, footer)
+
+
 def _read_file(path: str, columns: list[str] | None) -> pa.Table:
+    """``columns`` of one file (all of them for ``None``) plus the hive
+    partition columns on its path, as ``ParquetFile.read`` and an
+    appended string column per hive key give them: a requested column
+    the file lacks is skipped. Columns the worker decoded before come
+    from ``_DECODED``; only the missing ones are read from disk."""
     hive = _hive_values(path)
-    data_cols = None if columns is None else \
-        [c for c in columns if c not in hive]
-    t = pq.ParquetFile(path).read(columns=data_cols)
+    ident = _file_identity(path)
+    entry = _DECODED.take(path, ident)
+    pf = None
+    if entry is None:
+        pf = pq.ParquetFile(path)
+        entry = _FileColumns(ident, pf.schema_arrow.names, None, {},
+                             len(ident[-1]))
+    names = entry.names if columns is None else \
+        [c for c in columns if c not in hive and c in entry.names]
+    if entry.table is None:
+        # a new entry starts from the read of this call's columns (none
+        # at all still gives the file's row count)
+        entry.table = pf.read(columns=names)
+        entry.nbytes += entry.table.get_total_buffer_size()
+    missing = [c for c in names if c not in entry.table.column_names]
+    if missing:
+        t = pq.ParquetFile(path).read(columns=missing)
+        for field, col in zip(t.schema, t.columns):
+            entry.table = entry.table.append_column(field, col)
+        entry.nbytes += t.get_total_buffer_size()
+    table = entry.table
+    if table.column_names != names:
+        table = table.select(names)
     for k, v in hive.items():
-        if k not in t.column_names and (columns is None or k in columns):
-            t = t.append_column(k, pa.array([v] * t.num_rows, pa.string()))
-    return t
+        if k not in names and (columns is None or k in columns):
+            if k not in entry.hive:
+                entry.hive[k] = pa.repeat(pa.scalar(v, pa.string()),
+                                          table.num_rows)
+                entry.nbytes += entry.hive[k].get_total_buffer_size()
+            table = table.append_column(pa.field(k, pa.string()),
+                                        entry.hive[k])
+    _DECODED.keep(path, entry)
+    return table
 
 
 def _closest_head(table: pa.Table, limit: int | None) -> pa.Table:
@@ -273,12 +379,11 @@ def _select(table: pa.Table, fields: list[str] | None) -> pa.Table:
     return table.select(fields) if fields else table
 
 
-@ray.remote(num_returns=2)
-def _scan_partition(plan: CapturePlan, i: int) -> tuple[pa.Table, int]:
-    """The scan kernel: read partition ``i``'s files in order, match,
-    and return (matched table, its row count). Without ``closest`` the
-    scan stops reading files once ``limit`` rows matched, since no
-    partition contributes more than ``limit`` rows."""
+def _scan(plan: CapturePlan, i: int) -> pa.Table:
+    """The scan kernel: read partition ``i``'s files in order and
+    match them. Without ``closest`` the scan stops reading files once
+    ``limit`` rows matched, since no partition contributes more than
+    ``limit`` rows."""
     part = plan.partitions[i]
     tables, n = [], 0
     for path in part.files:
@@ -296,6 +401,13 @@ def _scan_partition(plan: CapturePlan, i: int) -> tuple[pa.Table, int]:
                               plan.limit)
     else:
         table = _select(table.slice(0, plan.limit), plan.fields)
+    return table
+
+
+@ray.remote(num_returns=2)
+def _scan_partition(plan: CapturePlan, i: int) -> tuple[pa.Table, int]:
+    """``_scan`` in a scan worker: (matched table, its row count)."""
+    table = _scan(plan, i)
     return table, table.num_rows
 
 

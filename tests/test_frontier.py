@@ -675,3 +675,35 @@ def test_frontier_flow_survives_a_seed_urlsplit_rejects(tmp_path):
     assert got[got.seed_order < n][cols].reset_index(drop=True).equals(want)
     assert got[got.seed_order >= n]["urlkey"].isna().all()
     crawl_order(flow).take_all()
+
+
+def test_broadcast_cache_keeps_the_most_recent_refs(monkeypatch):
+    """A worker keeps the last BROADCAST_CACHE_REFS broadcasts it read:
+    the ninth distinct ref evicts the least recently used one, and a
+    hit reads the object store no second time."""
+    import ray
+
+    from cdx_toolkit_ray.pipelines import frontier
+
+    monkeypatch.setattr(frontier, "_BROADCAST_CACHE", type(
+        frontier._BROADCAST_CACHE)())
+    refs = [ray.put({"n": i}) for i in range(9)]
+    gets = []
+    real_get = ray.get
+
+    def counting_get(ref, *a, **kw):
+        gets.append(ref.hex())
+        return real_get(ref, *a, **kw)
+
+    monkeypatch.setattr(frontier.ray, "get", counting_get)
+    assert frontier.BROADCAST_CACHE_REFS == 8
+    for i, ref in enumerate(refs[:8]):
+        assert frontier._get_broadcast(ref) == {"n": i}
+    assert frontier._get_broadcast(refs[0]) == {"n": 0}   # a hit
+    assert len(gets) == 8
+    assert frontier._get_broadcast(refs[8]) == {"n": 8}
+    assert len(frontier._BROADCAST_CACHE) == 8
+    # refs[1] was the least recently used: evicted; refs[0] was kept
+    assert refs[1].hex() not in frontier._BROADCAST_CACHE
+    assert frontier._get_broadcast(refs[0]) == {"n": 0}
+    assert len(gets) == 9

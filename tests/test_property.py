@@ -503,3 +503,56 @@ def test_hash_bucket_apply_block_refs_first_group_all_empty():
                                  n=("v", "size")) \
         .sort_values("k").reset_index(drop=True)
     pd.testing.assert_frame_equal(got.astype("int64"), want.astype("int64"))
+
+
+# --- api.rows (table -> row dicts a column at a time) vs Table.to_pylist
+
+_ROW_TYPES = {
+    "str": (pa.string(), st.text(max_size=8)),
+    "lstr": (pa.large_string(), st.text(max_size=8)),
+    "bin": (pa.binary(), st.binary(max_size=8)),
+    "i64": (pa.int64(), st.integers(-2**63, 2**63 - 1)),
+    "u64": (pa.uint64(), st.integers(0, 2**64 - 1)),
+    "i8": (pa.int8(), st.integers(-128, 127)),
+    "bool": (pa.bool_(), st.booleans()),
+    "f64": (pa.float64(), st.floats(allow_nan=False)),
+    "ts": (pa.timestamp("us"), st.integers(0, 2**50)),
+    "list": (pa.list_(pa.int64()), st.lists(st.integers(-9, 9), max_size=3)),
+}
+
+
+@st.composite
+def _row_tables(draw):
+    n = draw(st.integers(0, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    cols = {}
+    for name in draw(st.lists(st.sampled_from(sorted(_ROW_TYPES)),
+                              max_size=5, unique=True)):
+        typ, vals = _ROW_TYPES[name]
+        if draw(st.booleans()):
+            vals = st.one_of(st.none(), vals)
+        arr = pa.array(draw(st.lists(vals, min_size=n, max_size=n)), typ)
+        # chunk boundaries at the drawn cuts, empty chunks included
+        bounds = [0] + cuts + [n]
+        cols[name] = pa.chunked_array(
+            [arr.slice(a, b - a) for a, b in zip(bounds, bounds[1:])], typ)
+    if draw(st.booleans()):
+        # a hive partition column, built as the scan kernel builds it
+        cols["crawl"] = pa.chunked_array(
+            [pa.repeat(pa.scalar("CC-MAIN-2022-05", pa.string()), n)])
+    if not cols:   # rows without a column
+        return pa.table([pa.nulls(n)], ["_"]).select([])
+    return pa.table(cols)
+
+
+@given(_row_tables())
+@settings(max_examples=300, deadline=None)
+def test_rows_equal_to_pylist(table):
+    from cdx_toolkit_ray.api import rows
+
+    got = rows(table)
+    want = table.to_pylist()
+    assert got == want
+    # same Python types, not just equal values (1 == True == 1.0)
+    assert [[type(v) for v in r.values()] for r in got] \
+        == [[type(v) for v in r.values()] for r in want]

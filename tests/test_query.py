@@ -10,12 +10,16 @@ import math
 import os
 
 import duckdb
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
+from ray.data import DataContext
 
 from cdx_toolkit_ray.sources import captures
 from cdx_toolkit_ray.sources.captures import (
     list_crawl_partitions,
     pages_to_samples,
+    plan_query,
     query_captures,
     size_estimate,
 )
@@ -322,3 +326,194 @@ def test_fixture_plan_keys_by_real_path(tmp_path):
     assert _fixture_plan(str(link) + "/") == (root, pages)
     other_root, other_pages = _fixture_plan(str(other))
     assert other_pages == 1000 and other_root != root
+
+
+# The decoded-column cache lives in each scan worker; these tests run
+# the scan kernel (``captures._scan`` / ``_read_file``) in this process,
+# where a monkeypatch reaches it.
+
+def _uncached_read(path, columns):
+    """The file read without the decoded-column cache: every call
+    decodes the file's columns and builds its hive columns."""
+    hive = captures._hive_values(path)
+    data_cols = None if columns is None else \
+        [c for c in columns if c not in hive]
+    t = pq.ParquetFile(path).read(columns=data_cols)
+    for k, v in hive.items():
+        if k not in t.column_names and (columns is None or k in columns):
+            t = t.append_column(k, pa.array([v] * t.num_rows, pa.string()))
+    return t
+
+
+def _same(a, b):
+    return (a.schema.equals(b.schema, check_metadata=True)
+            and a.equals(b) and a.num_rows == b.num_rows)
+
+
+# (url, query kwargs, fields): exact, prefix, host and domain matches
+# with filters, windows, limit, closest and fields=
+_W = {"from_ts": "2021", "to": "2024"}
+_CACHE_SHAPES = [
+    ("https://www.big-portal.example/", _W, None),
+    ("big-portal.example/*", dict(_W, filter=["=status:200"]), None),
+    ("big-portal.example", {"matchType": "host", "from_ts": "2022",
+                            "to": "2023"}, None),
+    ("*.news-hub.example", dict(_W, filter=["!=status:404", "mime:html"],
+                                limit=7), None),
+    ("*.shop.example", dict(_W, closest="20230301000000", limit=5), None),
+    ("*.wiki-beta.example", dict(_W, filter=["=status:200"]),
+     ["url", "mime", "crawl"]),
+    # a negative filter on a column no file has: scans of no column
+    (None, {"crawl": ["CC-MAIN-2022-40"], "filter": ["!=nope:x"]}, []),
+]
+
+
+def _scan_shapes(root):
+    """Every shape's per-partition scan tables, then the row counts its
+    size estimate scans (``fields=[]``: predicate columns only)."""
+    out = []
+    for url, kw, fields in _CACHE_SHAPES:
+        plan = plan_query(root, url=url, fields=fields, **dict(kw))
+        out.append([captures._scan(plan, i)
+                    for i in range(len(plan.partitions))])
+        est = plan_query(root, url=url, fields=[],
+                         **{k: v for k, v in kw.items()
+                            if k not in ("limit", "closest")})
+        out.append([captures._scan(est, i).num_rows
+                    for i in range(len(est.partitions))])
+    return out
+
+
+def _same_scans(a, b):
+    return len(a) == len(b) and all(
+        len(x) == len(y) and all(
+            _same(p, q) if isinstance(p, pa.Table) else p == q
+            for p, q in zip(x, y))
+        for x, y in zip(a, b))
+
+
+def test_scan_cache_cold_warm_and_zero_budget_equal_uncached(fixture_dir,
+                                                             monkeypatch):
+    root = fixture_dir["captures"]
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(captures, "_DECODED", captures._DecodedColumns())
+    cold = _scan_shapes(root)
+    assert captures._DECODED.files
+    warm = _scan_shapes(root)
+    monkeypatch.setattr(captures, "_DECODED", captures._DecodedColumns())
+    monkeypatch.setattr(ctx, "target_max_block_size", 0)
+    zero = _scan_shapes(root)
+    assert not captures._DECODED.files and captures._DECODED.nbytes == 0
+    monkeypatch.setattr(captures, "_read_file", _uncached_read)
+    want = _scan_shapes(root)
+    assert all(sum(t.num_rows for t in shape) for shape in want[0:-2:2])
+    assert want[-2][0].num_columns == 0
+    for got in (cold, warm, zero):
+        assert _same_scans(got, want)
+
+
+def test_read_file_equals_uncached_read_for_any_columns(fixture_dir,
+                                                        monkeypatch):
+    """Column order, hive columns, requested columns the file lacks and
+    a read of no column at all are as ``ParquetFile.read`` gives them,
+    whichever columns an earlier call left decoded."""
+    monkeypatch.setattr(captures, "_DECODED", captures._DecodedColumns())
+    path = captures._partition_files(
+        list_crawl_partitions(fixture_dir["captures"])["CC-MAIN-2022-40"])[0]
+    for cols in ([], ["url", "crawl", "urlkey"], ["status"], None,
+                 ["nope", "status", "crawl"], ["crawl"], ["nope"], [],
+                 ["timestamp", "url"], None):
+        assert _same(captures._read_file(path, cols),
+                     _uncached_read(path, cols)), cols
+
+
+def _write_partition(path, stamp):
+    """A small partition whose rewrites keep the file size: uncompressed,
+    plain-encoded, fixed-width values."""
+    n = 50
+    pq.write_table(pa.table({
+        "urlkey": ["com,example)/%04d" % i for i in range(n)],
+        "timestamp": ["2022%010d" % (stamp * 1000 + i) for i in range(n)],
+        "status": ["200"] * n,
+    }), path, compression="none", use_dictionary=False)
+
+
+def test_scan_cache_sees_an_in_place_rewrite(tmp_path, monkeypatch):
+    monkeypatch.setattr(captures, "_DECODED", captures._DecodedColumns())
+    part = tmp_path / "crawl=CC-MAIN-2022-05"
+    part.mkdir()
+    path = str(part / "part-0.parquet")
+    _write_partition(path, 1)
+    first = captures._read_file(path, None)
+    assert _same(captures._read_file(path, None), first)
+    st = os.stat(path)
+    _write_partition(path, 2)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    st2 = os.stat(path)
+    assert (st2.st_size, st2.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    got = captures._read_file(path, None)
+    assert _same(got, _uncached_read(path, None))
+    assert not _same(got, first)
+    # a rewrite of another size
+    pq.write_table(pa.table({"urlkey": ["com,example)/x"],
+                             "timestamp": ["20220101000000"]}), path)
+    assert _same(captures._read_file(path, None),
+                 _uncached_read(path, None))
+
+
+def test_scan_cache_stays_within_budget(fixture_dir, monkeypatch):
+    """The least recently used files go first, the cache never holds
+    more than the budget, and a file over the whole budget is read but
+    not kept."""
+    parts = list_crawl_partitions(fixture_dir["captures"])
+    paths = [captures._partition_files(parts[c])[0] for c in sorted(parts)]
+    monkeypatch.setattr(captures, "_DECODED", captures._DecodedColumns())
+    sizes = []
+    for p in paths:
+        captures._read_file(p, None)
+        sizes.append(captures._DECODED.files[p].nbytes)
+    ctx = DataContext.get_current()
+    budget = sizes[-2] + sizes[-1]
+    monkeypatch.setattr(ctx, "target_max_block_size", budget)
+    monkeypatch.setattr(captures, "_DECODED", captures._DecodedColumns())
+    for p in paths:
+        assert _same(captures._read_file(p, None), _uncached_read(p, None))
+        cache = captures._DECODED
+        assert cache.nbytes <= budget
+        assert cache.nbytes == sum(e.nbytes for e in cache.files.values())
+    assert list(captures._DECODED.files) == paths[-2:]
+    # one file over the whole budget: read as without a cache, not kept
+    monkeypatch.setattr(ctx, "target_max_block_size", sizes[0] - 1)
+    monkeypatch.setattr(captures, "_DECODED", captures._DecodedColumns())
+    assert _same(captures._read_file(paths[0], None),
+                 _uncached_read(paths[0], None))
+    assert not captures._DECODED.files and captures._DECODED.nbytes == 0
+
+
+def test_cold_fields_scan_decodes_only_plan_columns(fixture_dir,
+                                                    monkeypatch):
+    reads = []
+
+    class Spy(pq.ParquetFile):
+        def read(self, columns=None, **kw):
+            reads.append(columns)
+            return super().read(columns=columns, **kw)
+
+    monkeypatch.setattr(pq, "ParquetFile", Spy)
+    monkeypatch.setattr(captures, "_DECODED", captures._DecodedColumns())
+    root = fixture_dir["captures"]
+    plan = plan_query(root, url="*.wiki-beta.example", from_ts="2021",
+                      to="2024", filter=["=status:200"],
+                      fields=["url", "mime"])
+    for i in range(len(plan.partitions)):
+        captures._scan(plan, i)
+    want = {"url", "mime", "urlkey", "timestamp", "status"}
+    assert reads and all(c is not None and set(c) == want for c in reads)
+    # a warm worker reads only the columns its entry lacks
+    reads.clear()
+    plan = plan_query(root, url="*.wiki-beta.example", from_ts="2021",
+                      to="2024", filter=["=status:200"],
+                      fields=["url", "digest"])
+    for i in range(len(plan.partitions)):
+        captures._scan(plan, i)
+    assert reads and all(c == ["digest"] for c in reads)
